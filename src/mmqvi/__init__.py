@@ -29,6 +29,7 @@ from .policy_iteration import (
     PiterConfig,
     PiterTrace,
     PolicyIterationError,
+    SystemCache,
     VerificationError,
     VerificationReport,
     improve_policy,
@@ -36,7 +37,7 @@ from .policy_iteration import (
     verify_theorem_conditions,
 )
 from .presets import default_grid_spec, default_params
-from .scheme import Policy, SparseSystem, apply_caps, assemble_system, residual
+from .scheme import Policy, SparseSystem, apply_caps, assemble_rhs, assemble_system, residual
 from .solver import (
     ExplicitInstabilityError,
     RefinementResult,
@@ -73,10 +74,12 @@ __all__ = [
     "SparseSystem",
     "StabilityEnvelopeError",
     "StencilSet",
+    "SystemCache",
     "ValueSurface",
     "VerificationError",
     "VerificationReport",
     "apply_caps",
+    "assemble_rhs",
     "assemble_system",
     "build_grid",
     "build_stencils",

@@ -264,9 +264,13 @@ def _solve(cfg: RunConfig):
 def _run_solve(cfg: RunConfig) -> int:
     sol = _solve(cfg)
     v0 = sol.surfaces[0].values
+    per_level = sol.metadata["per_level"]
     log.info(
-        "solve done: %d levels, value range [%s, %s], wall %.2fs",
+        "solve done: %d levels, value range [%s, %s], %d factorizations, "
+        "%d reused solves, wall %.2fs",
         len(sol.policies), _fmt(v0.min()), _fmt(v0.max()),
+        sum(e["factorizations"] for e in per_level),
+        sum(e["reused_solves"] for e in per_level),
         sol.metadata["wall_time"],
     )
     return 0

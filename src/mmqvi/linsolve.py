@@ -2,8 +2,9 @@
 
 The assembled matrices are weakly chained diagonally dominant Z-matrices
 (hence nonsingular M-matrices) at desk scale, so a direct sparse LU solve is
-the primary route.  Every solve is verified against the mixed
-absolute-relative residual contract
+the primary route; a ``Factorization`` keeps the LU factors of one matrix so
+that later right-hand sides skip the factoring.  Every solve is verified
+against the mixed absolute-relative residual contract
 
     ||A v - b||_inf <= tol * (1 + ||b||_inf)
 
@@ -57,6 +58,50 @@ def _residual_ok(matrix, rhs, v, tol) -> tuple[bool, float]:
     return res <= tol * (1.0 + float(np.max(np.abs(rhs), initial=0.0))), res
 
 
+def _check_diagonal(matrix) -> None:
+    zero_rows = np.flatnonzero(matrix.diagonal() == 0.0)
+    if zero_rows.size:
+        raise SingularSystemError(
+            f"zero diagonal entry at row {zero_rows[0]}", row=int(zero_rows[0])
+        )
+
+
+class Factorization:
+    """Sparse LU factors of one matrix, reusable across right-hand sides.
+
+    Every ``solve`` is checked against the residual contract on the factored
+    matrix, so a reused factorization is held to the same standard as a
+    fresh one.  Raises SingularSystemError for a zero diagonal entry or an
+    exactly singular matrix.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = sp.csr_matrix(matrix)
+        rows, cols = self.matrix.shape
+        if rows != cols:
+            raise ValueError(f"matrix shape {self.matrix.shape} is not square")
+        _check_diagonal(self.matrix)
+        try:
+            self._lu = spla.splu(self.matrix.tocsc())
+        except RuntimeError as exc:  # splu signals exact singularity this way
+            raise SingularSystemError(f"direct factorization failed: {exc}") from exc
+
+    def solve(self, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
+        """Solve ``matrix @ v = rhs``; raise SolveError if the contract fails."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.matrix.shape[0],):
+            raise ValueError(
+                f"matrix shape {self.matrix.shape} incompatible with rhs length {rhs.shape[0]}"
+            )
+        v = self._lu.solve(rhs)
+        ok, res = _residual_ok(self.matrix, rhs, v, tol)
+        if not ok:
+            raise SolveError("direct solve missed the residual contract",
+                             best_iterate=v, residual_norm=res)
+        return SolveReport(solution=v, method="direct-lu", iterations=1,
+                           residual_norm=res)
+
+
 def solve(matrix, rhs: np.ndarray, tol: float = 1e-10, method: str = "auto",
           max_iter: int = 2000) -> SolveReport:
     """Solve ``matrix @ v = rhs`` to the residual contract.
@@ -72,40 +117,22 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10, method: str = "auto",
     n = rhs.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix shape {matrix.shape} incompatible with rhs length {n}")
+    _check_diagonal(matrix)
 
-    diag = matrix.diagonal()
-    zero_rows = np.flatnonzero(diag == 0.0)
-    if zero_rows.size:
-        raise SingularSystemError(
-            f"zero diagonal entry at row {zero_rows[0]}", row=int(zero_rows[0])
-        )
-
-    direct_error = None
+    v0 = None
     if method in ("auto", "direct"):
         try:
-            v = spla.splu(matrix.tocsc()).solve(rhs)
-        except RuntimeError as exc:  # splu signals exact singularity this way
-            direct_error = exc
+            return Factorization(matrix).solve(rhs, tol)
+        except SolveError as exc:
             if method == "direct":
-                raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-        else:
-            ok, res = _residual_ok(matrix, rhs, v, tol)
-            if ok:
-                return SolveReport(solution=v, method="direct-lu", iterations=1,
-                                   residual_norm=res)
-            direct_error = SolveError("direct solve missed the residual contract",
-                                      best_iterate=v, residual_norm=res)
-            if method == "direct":
-                raise direct_error
+                raise
+            v0 = exc.best_iterate
 
     count = {"n": 0}
 
     def _cb(_):
         count["n"] += 1
 
-    v0 = None
-    if isinstance(direct_error, SolveError) and direct_error.best_iterate is not None:
-        v0 = direct_error.best_iterate
     v, info = spla.lgmres(matrix, rhs, x0=v0, rtol=tol, atol=tol,
                           maxiter=max_iter, callback=_cb)
     ok, res = _residual_ok(matrix, rhs, v, tol)

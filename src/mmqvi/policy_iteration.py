@@ -64,12 +64,16 @@ class PiterConfig:
 
 @dataclass
 class PiterTrace:
-    """Per-iteration diagnostics: policy digests, stopping metrics, and the
-    smallest entrywise increment of each new iterate (negative = decrease)."""
+    """Per-iteration diagnostics: policy digests, stopping metrics, the
+    smallest entrywise increment of each new iterate (negative = decrease),
+    whether each solve reused the previous factorization, and the
+    verification report of each solved system (none at verification off)."""
 
     policy_digests: list[str] = field(default_factory=list)
     stop_metrics: list[float] = field(default_factory=list)
     min_increments: list[float] = field(default_factory=list)
+    reused: list[bool] = field(default_factory=list)
+    reports: list["VerificationReport"] = field(default_factory=list)
     converged_by: str = ""
 
     @property
@@ -105,6 +109,33 @@ class VerificationReport:
     @property
     def sound(self) -> bool:
         return not self.hard_failures
+
+
+@dataclass(eq=False)
+class SystemCache:
+    """LU factors and verification report of the last solved A(P).
+
+    Holds one entry, keyed on ``Policy.matrix_key()`` and the grid, model
+    and stencils it was assembled for, so at most one factorization is
+    alive at a time.  The report is None when the entry was not verified.
+    """
+
+    key: bytes | None = None
+    owner: tuple | None = None
+    report: "VerificationReport | None" = None
+    factors: linsolve.Factorization | None = None
+
+    def holds(self, grid, p, st, key: bytes, verify: bool) -> bool:
+        """Whether the entry factors A(P) for ``key`` on this problem and,
+        when ``verify`` is set, was verified."""
+        return (
+            self.key == key
+            and all(a is b for a, b in zip(self.owner, (grid, p, st)))
+            and (self.report is not None or not verify)
+        )
+
+    def clear(self) -> None:
+        self.key = self.owner = self.report = self.factors = None
 
 
 def improve_policy(
@@ -253,6 +284,7 @@ def iterate(
     v0: np.ndarray,
     v_next: np.ndarray,
     cfg: PiterConfig = PiterConfig(),
+    cache: SystemCache | None = None,
 ) -> tuple[np.ndarray, Policy, PiterTrace]:
     """Run policy iteration from warm start ``v0`` for one time step.
 
@@ -260,11 +292,19 @@ def iterate(
     and the iteration trace.  Raises PolicyIterationError when the iteration
     budget is exhausted or (at verification per-step and above) when an
     iterate decreases by more than 10x the solver tolerance.
+
+    A(P) depends on the policy alone, so a solve whose policy has the matrix
+    key of the entry in ``cache`` skips assembly and verification, reuses the
+    cached report and LU factors, and builds only the right side.  Pass one
+    cache to successive calls to carry that reuse across time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
     prev_policy: Policy | None = None
+    if cache is None:
+        cache = SystemCache()
+    verify = cfg.verification != "off"
 
     for _ in range(cfg.max_iter):
         policy = improve_policy(grid, p, st, v, v_next)
@@ -272,23 +312,37 @@ def iterate(
             trace.converged_by = "policy-repeat"
             return v, prev_policy, trace
 
-        system = scheme.assemble_system(grid, p, st, policy, v_next)
-        if cfg.verification != "off":
-            report = verify_theorem_conditions(grid, policy, system)
-            if not report.sound:
-                raise VerificationError(
-                    "; ".join(report.hard_failures), report
-                )
+        key = policy.matrix_key()
+        reused = cache.holds(grid, p, st, key, verify)
+        if reused:
+            rhs = scheme.assemble_rhs(grid, p, policy, v_next)
+        else:
+            # Drop the old LU before factoring the next, and hold the new one
+            # in the cache alone: two live SuperLU objects fragment the heap
+            # and raise the peak resident size.
+            cache.clear()
+            system = scheme.assemble_system(grid, p, st, policy, v_next)
+            if verify:
+                cache.report = verify_theorem_conditions(grid, policy, system)
+                if not cache.report.sound:
+                    raise VerificationError(
+                        "; ".join(cache.report.hard_failures), cache.report
+                    )
+            cache.factors = linsolve.Factorization(system.matrix)
+            cache.key, cache.owner = key, (grid, p, st)
+            rhs = system.rhs
 
-        rep = linsolve.solve(system.matrix, system.rhs, tol=cfg.solver_tol)
-        v_new = rep.solution
+        v_new = cache.factors.solve(rhs, cfg.solver_tol).solution
         increment = float((v_new - v).min())
         metric = _stopping_metric(v_new, v)
         trace.policy_digests.append(policy.digest())
         trace.stop_metrics.append(metric)
         trace.min_increments.append(increment)
+        trace.reused.append(reused)
+        if cache.report is not None:
+            trace.reports.append(cache.report)
 
-        if cfg.verification != "off" and increment < -10.0 * cfg.solver_tol:
+        if verify and increment < -10.0 * cfg.solver_tol:
             raise PolicyIterationError(
                 f"iterate decreased by {-increment:.3e} "
                 f"(> 10x solver tol {cfg.solver_tol:.1e})",

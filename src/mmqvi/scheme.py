@@ -78,6 +78,18 @@ class Policy:
             h.update(np.ascontiguousarray(arr, dtype=np.int8).tobytes())
         return h.hexdigest()[:16]
 
+    def matrix_key(self) -> bytes:
+        """Bytes that determine A(P): la, lb, d, and z where d = 1.
+
+        Two policies with equal keys assemble the same matrix, impulse mask
+        and boundary rows, and pass or fail the same verification.
+        """
+        active_z = np.where(self.d == 1, self.z, 0)
+        return b"".join(
+            np.ascontiguousarray(arr, dtype=np.int8).tobytes()
+            for arr in (self.la, self.lb, self.d, active_z)
+        )
+
     def equals(self, other: "Policy") -> bool:
         return (
             np.array_equal(self.la, other.la)
@@ -326,10 +338,27 @@ def impulse_row(grid: Grid, p: ModelParams, ii: int, jj: int, z: int):
     return cols, vals, -p.upsilon
 
 
+def assemble_rhs(
+    grid: Grid, p: ModelParams, policy: Policy, v_next: np.ndarray
+) -> np.ndarray:
+    """Right side b(P): v^{n+1} + dt*f on continuation rows, -upsilon on impulse rows.
+
+    Unlike ``assemble_system`` it does not validate ``policy``.
+    """
+    rhs = v_next + grid.d_t * running_reward(
+        p, grid.alpha_of_node, grid.q_of_node.astype(float), policy.la, policy.lb
+    )
+    rhs[policy.d.astype(bool)] = -p.upsilon
+    return rhs
+
+
 def assemble_system(
     grid: Grid, p: ModelParams, st: StencilSet, policy: Policy, v_next: np.ndarray
 ) -> SparseSystem:
-    """Assemble A(P) and b(P) for one implicit step under ``policy``."""
+    """Assemble A(P) and b(P) for one implicit step under ``policy``.
+
+    A(P) depends only on ``policy.matrix_key()``; ``v_next`` enters b(P) alone.
+    """
     policy.validate(grid)
     m = grid.n_nodes
     n_alpha = grid.n_alpha
@@ -387,15 +416,10 @@ def assemble_system(
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
     matrix.eliminate_zeros()
 
-    rhs = v_next + dt * running_reward(
-        p, grid.alpha_of_node, grid.q_of_node.astype(float), policy.la, policy.lb
-    )
-    rhs[impulse] = -p.upsilon
-
     boundary = (st.up_boundary[ii] | st.down_boundary[ii]) & ~impulse
     return SparseSystem(
         matrix=matrix,
-        rhs=rhs,
+        rhs=assemble_rhs(grid, p, policy, v_next),
         impulse_mask=impulse,
         boundary_rows=boundary,
         mode=st.mode,

@@ -20,7 +20,7 @@ import numpy as np
 from . import scheme
 from .grid import Grid, GridSpec, StencilSet, build_grid, build_stencils
 from .model import ModelParams, stability_bounds, terminal_value
-from .policy_iteration import PiterConfig, PolicyIterationError, iterate
+from .policy_iteration import PiterConfig, PolicyIterationError, SystemCache, iterate
 from .scheme import Policy, apply_caps
 
 log = logging.getLogger(__name__)
@@ -123,10 +123,13 @@ def solve_backward(
     surfaces[n_levels] = ValueSurface(n_levels, grid.times[-1], v)
     policies: list[Policy | None] = [None] * n_levels
     per_level = []
+    # The policy that ends one level usually starts the next, so its
+    # factorization carries over.
+    cache = SystemCache()
 
     for n in range(n_levels - 1, -1, -1):
         try:
-            v, policy, trace = iterate(grid, p, st, v, v, piter)
+            v, policy, trace = iterate(grid, p, st, v, v, piter, cache)
         except PolicyIterationError as exc:
             raise PolicyIterationError(f"time level {n}: {exc}", exc.trace) from exc
         _check_envelope(p, grid, n, v, envelope_tol)
@@ -139,6 +142,14 @@ def solve_backward(
                 "metric": trace.stop_metrics[-1] if trace.stop_metrics else 0.0,
                 "min_increment": min(trace.min_increments, default=0.0),
                 "converged_by": trace.converged_by,
+                "factorizations": trace.reused.count(False),
+                "reused_solves": trace.reused.count(True),
+                "min_interior_margin": min(
+                    (r.min_interior_margin for r in trace.reports), default=None
+                ),
+                "min_boundary_margin": min(
+                    (r.min_boundary_margin for r in trace.reports), default=None
+                ),
             }
         )
         if n % 50 == 0:

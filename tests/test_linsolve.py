@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mmqvi import SingularSystemError, SolveError
-from mmqvi.linsolve import residual_norm, solve
+from mmqvi.linsolve import Factorization, residual_norm, solve
 
 
 def random_dominant_system(n, seed, margin=1.0):
@@ -40,6 +40,24 @@ def test_recovers_known_solution(method):
     report = solve(a, a @ v_true, method=method)
     np.testing.assert_allclose(report.solution, v_true, rtol=0, atol=1e-8)
     assert report.residual_norm <= 1e-10 * (1.0 + np.abs(a @ v_true).max())
+
+
+def test_factorization_solves_many_right_hand_sides():
+    a, _ = random_dominant_system(150, seed=4)
+    lu = Factorization(a)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        v_true = rng.normal(size=150)
+        b = a @ v_true
+        report = lu.solve(b, tol=1e-10)
+        assert report.method == "direct-lu"
+        assert report.residual_norm == residual_norm(a, b, report.solution)
+        assert report.residual_norm <= 1e-10 * (1.0 + np.abs(b).max())
+        np.testing.assert_allclose(report.solution, v_true, rtol=0, atol=1e-8)
+    # the contract is checked on every solve, not trusted from the factoring
+    with pytest.raises(SolveError, match="residual contract") as exc_info:
+        lu.solve(b, tol=1e-300)
+    assert exc_info.value.best_iterate is not None
 
 
 def test_inverse_positivity_of_m_matrices():

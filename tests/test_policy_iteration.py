@@ -16,7 +16,7 @@ from mmqvi import (
     iterate,
     verify_theorem_conditions,
 )
-from mmqvi.policy_iteration import _check_impulse_paths, _stopping_metric
+from mmqvi.policy_iteration import SystemCache, _check_impulse_paths, _stopping_metric
 from mmqvi.solver import terminal_vector
 
 import mmqvi.policy_iteration
@@ -112,6 +112,96 @@ def test_iterate_rejects_unsound_policies(
     with pytest.raises(VerificationError) as exc_info:
         iterate(toy_grid, toy_params, toy_stencils, v_next, v_next)
     assert not exc_info.value.report.path_ok
+
+
+def toy_policy(grid, edits=()):
+    """Quote on both sides, continue everywhere except one z = +1 impulse at
+    (alpha 1, q 0); ``edits`` are (field, node, value) overrides."""
+    m = grid.n_nodes
+    fields = {
+        "la": np.ones(m, dtype=np.int8),
+        "lb": np.ones(m, dtype=np.int8),
+        "z": np.ones(m, dtype=np.int8),
+        "d": np.zeros(m, dtype=np.int8),
+    }
+    fields["d"][grid.flatten(1, 1)] = 1
+    for name, node, value in edits:
+        fields[name][node] = value
+    return apply_caps(grid, fields["la"], fields["lb"], fields["z"], fields["d"])
+
+
+def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2):
+    """Solve one step under ``first``, then under ``second`` with the same
+    cache; return both traces and the number of LU factorizations made."""
+    factorings = []
+    splu = mmqvi.linsolve.spla.splu
+    monkeypatch.setattr(
+        mmqvi.linsolve.spla, "splu", lambda a: factorings.append(1) or splu(a)
+    )
+    cache = SystemCache()
+    v_next = terminal_vector(grid, p)
+    v0 = v_next - 1e3  # far below the step's solution: every solve increases
+    traces = []
+    for pol, cfg in zip((first, second), cfgs):
+        monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
+        _, _, trace = iterate(grid, p, st, v0, v_next, cfg, cache)
+        assert trace.iterations == 1 and trace.converged_by == "policy-repeat"
+        traces.append(trace)
+    return traces, len(factorings)
+
+
+def test_inactive_impulse_direction_shares_the_factorization(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    first = toy_policy(toy_grid)
+    # z at a d = 0 node flips: the policy differs, its matrix does not
+    second = toy_policy(toy_grid, [("z", toy_grid.flatten(0, 1), -1)])
+    assert not first.equals(second)
+    assert first.matrix_key() == second.matrix_key()
+    (t1, t2), factorings = solve_twice(
+        toy_grid, toy_params, toy_stencils, first, second, monkeypatch
+    )
+    assert factorings == 1
+    assert t1.reused == [False] and t2.reused == [True]
+    assert t2.reports[0] is t1.reports[0]
+
+
+# toy nodes (3 alpha x 3 q): 4 is (alpha 1, q 0), the impulse node of
+# toy_policy; 3 is its continuation neighbor (alpha 0, q 0)
+@pytest.mark.parametrize(
+    "edit",
+    [("la", 4, 0), ("lb", 4, 0), ("d", 3, 1), ("z", 4, -1)],
+    ids=["la", "lb", "d", "active-z"],
+)
+def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit):
+    first = toy_policy(toy_grid)
+    second = toy_policy(toy_grid, [edit])
+    assert first.matrix_key() != second.matrix_key()
+    (_, t2), factorings = solve_twice(
+        toy_grid, toy_params, toy_stencils, first, second, monkeypatch
+    )
+    assert factorings == 2
+    assert t2.reused == [False]
+
+
+def test_cache_entries_hold_only_for_their_problem_and_checks(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    pol = toy_policy(toy_grid)
+    # an unverified entry is not reused by a verifying solve
+    (_, t2), factorings = solve_twice(
+        toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch,
+        cfgs=(PiterConfig(verification="off"), PiterConfig()),
+    )
+    assert factorings == 2 and t2.reused == [False] and len(t2.reports) == 1
+    # an entry built for other stencils is not reused (improve_policy still
+    # returns pol)
+    cache = SystemCache()
+    v_next = terminal_vector(toy_grid, toy_params)
+    other = build_stencils(toy_grid, toy_params, "clamp")
+    for st, reused in ((toy_stencils, [False]), (toy_stencils, [True]), (other, [False])):
+        _, _, trace = iterate(toy_grid, toy_params, st, v_next - 1e3, v_next, cache=cache)
+        assert trace.reused == reused
 
 
 def test_improve_policy_is_admissible(toy_grid, toy_params, toy_stencils):

@@ -15,7 +15,13 @@ import pytest
 from mmqvi import GridSpec, Policy, apply_caps, assemble_system, build_grid, build_stencils
 from mmqvi.linsolve import solve
 from mmqvi.model import terminal_value
-from mmqvi.scheme import continuation_row, impulse_row, residual, residual_at_node
+from mmqvi.scheme import (
+    assemble_rhs,
+    continuation_row,
+    impulse_row,
+    residual,
+    residual_at_node,
+)
 from mmqvi.solver import terminal_vector
 
 from conftest import quiet_params
@@ -164,6 +170,22 @@ def test_assembled_system_matches_row_builders(toy_grid, toy_params, toy_stencil
             row[c] += val
         np.testing.assert_allclose(dense[node], row, rtol=0, atol=1e-14)
         assert system.rhs[node] == pytest.approx(rhs, abs=1e-14)
+
+
+def test_assemble_rhs_is_the_assembled_right_side(toy_grid, toy_params, toy_stencils):
+    rng = np.random.default_rng(12)
+    m = toy_grid.n_nodes
+    for _ in range(20):
+        pol = apply_caps(
+            toy_grid,
+            rng.integers(0, 2, m),
+            rng.integers(0, 2, m),
+            np.where(rng.random(m) < 0.5, 1, -1),
+            (rng.random(m) < 0.3).astype(int),
+        )
+        v_next = rng.normal(size=m)
+        system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
+        assert np.array_equal(assemble_rhs(toy_grid, toy_params, pol, v_next), system.rhs)
 
 
 # --------------------------------------------------------------- residuals

@@ -6,8 +6,11 @@ import pytest
 from mmqvi import (
     ExplicitInstabilityError,
     GridSpec,
+    PiterConfig,
     StabilityEnvelopeError,
+    assemble_system,
     build_grid,
+    build_stencils,
     explicit_cfl_factor,
     refine_spec,
     refinement_table,
@@ -15,6 +18,7 @@ from mmqvi import (
     solve_explicit_baseline,
     terminal_vector,
 )
+from mmqvi.linsolve import solve
 from mmqvi.model import stability_bounds, terminal_value
 
 
@@ -50,6 +54,31 @@ def test_solution_layout_and_metadata(fast_sol, fast_spec):
         assert 1 <= entry["iterations"] <= 50
         assert entry["min_increment"] >= -1e-9
         assert entry["converged_by"] in ("metric", "policy-repeat")
+
+
+def test_reused_factorizations_reproduce_fresh_solves(params6):
+    spec = GridSpec(20, 21, params6.alpha_cap, params6.q_bar)
+    sol = solve_backward(params6, spec)
+    grid = sol.grid
+    st = build_stencils(grid, params6, "clamp")
+    for n, policy in enumerate(sol.policies):
+        system = assemble_system(grid, params6, st, policy, sol.surfaces[n + 1].values)
+        fresh = solve(system.matrix, system.rhs).solution
+        assert np.array_equal(fresh, sol.surfaces[n].values), f"level {n}"
+
+    levels = sol.metadata["per_level"]
+    reused = sum(e["reused_solves"] for e in levels)
+    assert reused > 0
+    assert sum(e["factorizations"] for e in levels) + reused == sum(
+        e["iterations"] for e in levels
+    )
+    for e in levels:
+        assert e["min_interior_margin"] >= 1.0 - 1e-10
+        assert e["min_boundary_margin"] > 0.0
+
+    unverified = solve_backward(params6, spec, piter=PiterConfig(verification="off"))
+    for e in unverified.metadata["per_level"]:
+        assert e["min_interior_margin"] is None and e["min_boundary_margin"] is None
 
 
 def test_solution_stays_inside_the_stability_envelope(fast_sol, fast_params):
