@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,13 +279,17 @@ def _run_solve(cfg: RunConfig) -> int:
 
 def _run_validate(cfg: RunConfig) -> int:
     sol = _solve(cfg)
+    started = time.perf_counter()
     report = estimate_performance(
         cfg.params, sol, cfg.mc_y0, cfg.n_paths, cfg.seed
     )
+    elapsed = time.perf_counter() - started
     log.info(
-        "monte carlo: %d paths, mean %s, stderr %s, predicted %s, z %.3f",
+        "monte carlo: %d paths, mean %s, stderr %s, predicted %s, z %.3f, "
+        "%.0f paths/s, chatter_capped %d",
         report.n_paths, _fmt(report.mean), _fmt(report.stderr),
         _fmt(report.predicted), report.zscore,
+        report.n_paths / max(elapsed, 1e-9), report.chatter_capped,
     )
     if abs(report.zscore) > 3.0:
         log.error("validation failed: |z| = %.3f exceeds 3", abs(report.zscore))

@@ -122,11 +122,6 @@ def build_grid(p: ModelParams, spec: GridSpec) -> Grid:
     return Grid(times=times, alphas=alphas, qs=qs, d_t=d_t, d_alpha=d_alpha)
 
 
-def truncate_alpha(p: ModelParams, alpha: float) -> float:
-    """Clamp a signal value to the truncation interval [-alpha_cap, alpha_cap]."""
-    return min(max(alpha, -p.alpha_cap), p.alpha_cap)
-
-
 @dataclass(frozen=True)
 class ShiftStencil:
     """Evaluation of v(alpha_i +/- gamma, .) as lattice weights at fixed q.

@@ -17,6 +17,13 @@ objective of a path is
 
 whose mean over paths must agree with the reconstructed full value at the
 starting state within Monte Carlo error.
+
+``simulate_path`` runs one path through the scalar simulator and keeps its
+full event log; it is the reference.  ``estimate_performance`` advances all
+paths together with array operations: per time step the impulse cascade runs
+as masked rounds, round r handles the r-th external order of every path that
+has one, and between events only the paths whose Exp(1) budget falls within
+the window's cumulative intensity take the Newton inversion.
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ class EstimateReport:
     stderr: float
     predicted: float
     zscore: float
+    chatter_capped: int         # cascade-cap hits, summed over paths
+    events_per_path: float      # external orders plus price jumps
+    own_orders_per_path: float  # the maker's market orders
 
 
 def _next_jump(theta: float, c: float, k: float, budget: float, window: float):
@@ -92,9 +102,8 @@ def _simulate(
     sol: Solution,
     y0: tuple[float, float, float, int],
     rng: np.random.Generator,
-    collect: bool,
-    null_policy: bool,
 ) -> PathRecord:
+    """Scalar, event-logging replay of one path: the reference simulator."""
     grid = sol.grid
     n_alpha, q_bar = grid.n_alpha, int(grid.qs[-1])
     alpha_lo = grid.alphas[0]
@@ -105,15 +114,10 @@ def _simulate(
     times = grid.times
     n_steps = len(sol.policies)
 
-    if null_policy:
-        zeros = np.zeros(grid.n_nodes, dtype=np.int8)
-        la_lv = lb_lv = d_lv = [zeros] * n_steps
-        z_lv = [zeros] * n_steps
-    else:
-        la_lv = [pol.la for pol in sol.policies]
-        lb_lv = [pol.lb for pol in sol.policies]
-        z_lv = [pol.z for pol in sol.policies]
-        d_lv = [pol.d for pol in sol.policies]
+    la_lv = [pol.la for pol in sol.policies]
+    lb_lv = [pol.lb for pol in sol.policies]
+    z_lv = [pol.z for pol in sol.policies]
+    d_lv = [pol.d for pol in sol.policies]
 
     x, s, alpha, q = float(y0[0]), float(y0[1]), float(y0[2]), int(y0[3])
     if abs(q) > q_bar:
@@ -121,8 +125,7 @@ def _simulate(
     alpha = min(max(alpha, -a_cap), a_cap)
 
     rec = PathRecord(y0=(x, s, alpha, q))
-    if collect:
-        rec.trajectory.append((0.0, x, s, alpha, q))
+    rec.trajectory.append((0.0, x, s, alpha, q))
 
     q2_int = 0.0       # running integral of Q^2 dt
     t_mark = 0.0       # time of the last inventory change
@@ -153,18 +156,15 @@ def _simulate(
                 x -= s + ups
                 q += 1
                 alpha = min(alpha + p.gamma_a, a_cap)
-                if collect:
-                    rec.own_order_cash.append((t, 1, -(s + ups)))
+                rec.own_order_cash.append((t, 1, -(s + ups)))
             else:
                 x += s - ups
                 q -= 1
                 alpha = max(alpha - p.gamma_b, -a_cap)
-                if collect:
-                    rec.own_order_cash.append((t, -1, s - ups))
+                rec.own_order_cash.append((t, -1, s - ups))
             if abs(q) > q_bar:
                 raise SimulationError(f"inventory {q} breached the cap at t={t}")
-            if collect:
-                rec.trajectory.append((t, x, s, alpha, q))
+            rec.trajectory.append((t, x, s, alpha, q))
         if d_arr[node_of()]:
             rec.chatter_capped += 1
 
@@ -214,37 +214,31 @@ def _simulate(
                 advance_alpha(w)
                 t_cur += w
                 s += tick * p.sigma
-                if collect:
-                    (rec.jump_up_times if tick > 0 else rec.jump_down_times).append(t_cur)
-                    rec.trajectory.append((t_cur, x, s, alpha, q))
+                (rec.jump_up_times if tick > 0 else rec.jump_down_times).append(t_cur)
+                rec.trajectory.append((t_cur, x, s, alpha, q))
 
             if kind == 0:
                 break
             if kind > 0:
                 # external buy: our resting ask fills first, then the bump
-                if collect:
-                    rec.ext_buy_times.append(t_ev)
+                rec.ext_buy_times.append(t_ev)
                 if la_arr[node_of()]:
                     mark_q_change(t_ev)
                     x += s + p.delta
                     q -= 1
-                    if collect:
-                        rec.fill_cash.append((t_ev, s + p.delta))
+                    rec.fill_cash.append((t_ev, s + p.delta))
                 alpha = min(alpha + p.gamma_a, a_cap)
             else:
-                if collect:
-                    rec.ext_sell_times.append(t_ev)
+                rec.ext_sell_times.append(t_ev)
                 if lb_arr[node_of()]:
                     mark_q_change(t_ev)
                     x -= s - p.delta
                     q += 1
-                    if collect:
-                        rec.fill_cash.append((t_ev, -(s - p.delta)))
+                    rec.fill_cash.append((t_ev, -(s - p.delta)))
                 alpha = max(alpha - p.gamma_b, -a_cap)
             if abs(q) > q_bar:
                 raise SimulationError(f"inventory {q} breached the cap at t={t_ev}")
-            if collect:
-                rec.trajectory.append((t_ev, x, s, alpha, q))
+            rec.trajectory.append((t_ev, x, s, alpha, q))
             cascade(n, t_ev)
 
     t_end = float(times[-1])
@@ -254,8 +248,7 @@ def _simulate(
     rec.realized_objective = (
         -p.phi * q2_int + x + q * (s - ups * sign) - p.psi * q * q
     )
-    if collect:
-        rec.trajectory.append((t_end, x, s, alpha, q))
+    rec.trajectory.append((t_end, x, s, alpha, q))
     return rec
 
 
@@ -267,7 +260,215 @@ def simulate_path(
 ) -> PathRecord:
     """Simulate one path replaying the solved policy; full event record."""
     rng = np.random.default_rng(seed)
-    return _simulate(p, sol, y0, rng, collect=True, null_policy=False)
+    return _simulate(p, sol, y0, rng)
+
+
+def _first_arrivals(
+    theta: float, c: np.ndarray, k: float, budget: np.ndarray, window: np.ndarray
+) -> np.ndarray:
+    """Vectorized ``_next_jump`` for clocks known to fire within ``window``.
+
+    Solves theta*w + c*(1 - exp(-k*w)) = budget by Newton's method to the
+    same residual tolerance.  The start is the root with one term dropped:
+    -log(1 - budget/c)/k, above the root, where the signal term can pay the
+    budget alone, else (budget - c)/theta, below it.
+    """
+    w = (budget - c) / theta if theta > 0 else window.copy()
+    alone = budget < c
+    w[alone] = -np.log1p(-budget[alone] / c[alone]) / k
+    w = np.minimum(np.maximum(w, 0.0), window)
+    for _ in range(60):
+        ekw = np.exp(-k * w)
+        f = theta * w + c * (1.0 - ekw) - budget
+        if (np.abs(f) < 1e-14 * (1.0 + budget)).all():
+            break
+        w = np.maximum(w - f / (theta + c * k * ekw), 0.0)
+    return w
+
+
+@dataclass
+class _ReplayCounts:
+    ext_orders: int = 0
+    jumps: int = 0
+    own_orders: int = 0
+    chatter_capped: int = 0
+
+
+def _replay(
+    p: ModelParams,
+    sol: Solution,
+    y0: tuple[float, float, float, int],
+    n_paths: int,
+    rng: np.random.Generator,
+    null_policy: bool,
+) -> tuple[np.ndarray, _ReplayCounts]:
+    """Replay the policy on ``n_paths`` paths at once.
+
+    The same dynamics as ``_simulate``, advanced for all paths together:
+    each path's state lives in arrays indexed by path, the impulse cascade
+    runs as masked rounds, and round r of a step handles the r-th external
+    order of every path that has one.  Returns the realized objectives.
+    """
+    grid = sol.grid
+    n_alpha, q_bar = grid.n_alpha, int(grid.qs[-1])
+    alpha_lo = grid.alphas[0]
+    d_alpha = grid.d_alpha
+    a_cap = p.alpha_cap
+    k, rho, theta = p.k, p.rho, p.theta
+    ups = p.upsilon
+    times = grid.times
+    dt = grid.d_t
+    n_steps = len(sol.policies)
+
+    if null_policy:
+        zeros = np.zeros(grid.n_nodes, dtype=np.int8)
+        pols = [(zeros, zeros, zeros, zeros)] * n_steps
+    else:
+        pols = [(pol.la, pol.lb, pol.d, pol.z) for pol in sol.policies]
+
+    q0 = int(y0[3])
+    if abs(q0) > q_bar:
+        raise SimulationError(f"initial inventory {q0} outside the cap {q_bar}")
+    x = np.full(n_paths, float(y0[0]))
+    s = np.full(n_paths, float(y0[1]))
+    alpha = np.full(n_paths, min(max(float(y0[2]), -a_cap), a_cap))
+    q = np.full(n_paths, q0, dtype=np.int64)
+    q2_int = np.zeros(n_paths)      # running integral of Q^2 dt
+    t_mark = np.zeros(n_paths)      # time of the last inventory change
+    counts = _ReplayCounts()
+    every = np.arange(n_paths)
+
+    def node_of(idx: np.ndarray) -> np.ndarray:
+        i = ((alpha[idx] - alpha_lo) / d_alpha + 0.5).astype(np.int64)
+        np.minimum(np.maximum(i, 0, out=i), n_alpha - 1, out=i)
+        return (q[idx] + q_bar) * n_alpha + i
+
+    def mark_q_change(idx: np.ndarray, t: np.ndarray) -> None:
+        q2_int[idx] += q[idx] * q[idx] * (t - t_mark[idx])
+        t_mark[idx] = t
+
+    def check_cap(idx: np.ndarray, t: np.ndarray) -> None:
+        breach = np.abs(q[idx]) > q_bar
+        if breach.any():
+            j = int(np.argmax(breach))
+            raise SimulationError(
+                f"inventory {int(q[idx[j]])} breached the cap at t={t[j]}"
+            )
+
+    def bump(idx: np.ndarray, buy: np.ndarray) -> None:
+        """Signal kick of a market order: +gamma_a for a buy, -gamma_b for a sell."""
+        a = alpha[idx]
+        alpha[idx] = np.where(
+            buy, np.minimum(a + p.gamma_a, a_cap), np.maximum(a - p.gamma_b, -a_cap)
+        )
+
+    def cascade(idx: np.ndarray, t: np.ndarray, d_arr, z_arr) -> None:
+        """Own market orders, round by round, while a path's cell has d = 1."""
+        for _ in range(2 * q_bar):
+            node = node_of(idx)
+            act = d_arr[node] != 0
+            if not act.any():
+                return
+            idx, t, buy = idx[act], t[act], z_arr[node[act]] > 0
+            mark_q_change(idx, t)
+            si = s[idx]
+            x[idx] += np.where(buy, -(si + ups), si - ups)
+            q[idx] += np.where(buy, 1, -1)
+            bump(idx, buy)
+            counts.own_orders += idx.size
+            check_cap(idx, t)
+        counts.chatter_capped += int(np.count_nonzero(d_arr[node_of(idx)]))
+
+    def advance_alpha(a: np.ndarray, decay: np.ndarray) -> np.ndarray:
+        """Exact OU transitions over windows with decay factors exp(-k*w)."""
+        sd = np.sqrt(rho * rho * (1.0 - decay * decay) / (2.0 * k))
+        return np.minimum(np.maximum(a * decay + sd * rng.standard_normal(a.size),
+                                     -a_cap), a_cap)
+
+    def advance(idx: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> None:
+        """Move paths from t_from to t_to through the price jumps between.
+
+        Each path runs two clocks: one at rate theta + |alpha| exp(-k*w), w
+        the time since t_from, for a tick in the direction of the signal, one
+        at rate theta for a tick against it.  Their first arrival is the next
+        jump; a path past it starts afresh from the jump.
+        """
+        while idx.size:
+            window = np.maximum(t_to - t_from, 0.0)
+            a = alpha[idx]
+            c = np.abs(a) / k
+            decay = np.exp(-k * window)
+            budget = rng.exponential(size=(2, idx.size))
+            hit_with = budget[0] <= theta * window + c * (1.0 - decay)
+            hit_against = budget[1] <= theta * window
+            hit = hit_with | hit_against
+            # paths without a jump in the window take one exact transition
+            quiet = ~hit
+            alpha[idx[quiet]] = advance_alpha(a[quiet], decay[quiet])
+            if not hit.any():
+                return
+            j = np.flatnonzero(hit)
+            hw, ha = hit_with[j], hit_against[j]
+            w_with = np.full(j.size, np.inf)
+            w_with[hw] = _first_arrivals(theta, c[j][hw], k, budget[0, j][hw], window[j][hw])
+            w_against = np.full(j.size, np.inf)
+            w_against[ha] = budget[1, j][ha] / theta
+            w = np.minimum(w_with, w_against)
+            tick = np.where(a[j] >= 0.0, p.sigma, -p.sigma)
+            idx = idx[j]
+            alpha[idx] = advance_alpha(a[j], np.exp(-k * w))
+            s[idx] += np.where(w_with <= w_against, tick, -tick)
+            counts.jumps += idx.size
+            t_from, t_to = t_from[j] + w, t_to[j]
+
+    for n in range(n_steps):
+        t0, t1 = times[n], times[n + 1]
+        la_arr, lb_arr, d_arr, z_arr = pols[n]
+        cascade(every, np.full(n_paths, t0), d_arr, z_arr)
+
+        n_a = rng.poisson(p.lambda_a * dt, n_paths)
+        n_ev = n_a + rng.poisson(p.lambda_b * dt, n_paths)
+        total = int(n_ev.sum())
+        counts.ext_orders += total
+        # events of path i sit at first[i] .. first[i] + n_ev[i] - 1, by time
+        first = np.cumsum(n_ev) - n_ev
+        owner = np.repeat(every, n_ev)
+        rank = np.arange(total) - first[owner]
+        u = rng.random(total)
+        order = np.lexsort((u, owner))
+        ev_t = (t0 + dt * u)[order]
+        ev_buy = (rank < n_a[owner])[order]
+
+        # round r: every path with at least r events moves to its r-th event
+        # (or to t1), then paths with an r-th event execute it
+        idx, t_from = every, np.full(n_paths, t0)
+        for r in range(int(n_ev.max(initial=0)) + 1):
+            has = n_ev[idx] > r
+            t_to = np.full(idx.size, t1)
+            pos = first[idx[has]] + r
+            t_to[has] = ev_t[pos]
+            advance(idx, t_from, t_to)
+
+            idx, t_ev, buy = idx[has], t_to[has], ev_buy[pos]
+            if not idx.size:
+                break
+            node = node_of(idx)
+            fills = np.where(buy, la_arr[node], lb_arr[node]) != 0
+            f, fb = idx[fills], buy[fills]
+            mark_q_change(f, t_ev[fills])
+            sf = s[f]
+            # an external buy lifts our resting ask, a sell hits our bid
+            x[f] += np.where(fb, sf + p.delta, -(sf - p.delta))
+            q[f] += np.where(fb, -1, 1)
+            bump(idx, buy)
+            check_cap(f, t_ev[fills])
+            cascade(idx, t_ev, d_arr, z_arr)
+            t_from = t_ev
+
+    t_end = float(times[-1])
+    q2_int += q * q * (t_end - t_mark)
+    objectives = -p.phi * q2_int + x + q * (s - ups * np.sign(q)) - p.psi * q * q
+    return objectives, counts
 
 
 def estimate_performance(
@@ -280,18 +481,17 @@ def estimate_performance(
 ) -> EstimateReport:
     """Mean realized objective over paths versus the reconstructed value.
 
-    Per-path generators are spawned deterministically from the master seed,
-    so results are reproducible and independent of path count ordering.
+    All paths are advanced together from one generator, ``default_rng(seed)``,
+    so a seed reproduces the report exactly.  Path i's draws depend on the
+    other paths, so the paths of an n-path run are not a prefix of a larger
+    run, and they differ from ``simulate_path`` paths seeded with
+    ``SeedSequence(seed).spawn(n)`` children (the streams used before the
+    replay was batched); they follow the same law.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    objectives = np.empty(n_paths)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        objectives[i] = _simulate(
-            p, sol, y0, rng, collect=False, null_policy=null_policy
-        ).realized_objective
+    rng = np.random.default_rng(seed)
+    objectives, counts = _replay(p, sol, y0, n_paths, rng, null_policy)
 
     mean = float(objectives.mean())
     stderr = float(objectives.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -305,5 +505,12 @@ def estimate_performance(
     else:
         zscore = 0.0 if abs(mean - predicted) <= 1e-12 * (1.0 + abs(predicted)) else math.inf
     return EstimateReport(
-        n_paths=n_paths, mean=mean, stderr=stderr, predicted=predicted, zscore=zscore
+        n_paths=n_paths,
+        mean=mean,
+        stderr=stderr,
+        predicted=predicted,
+        zscore=zscore,
+        chatter_capped=counts.chatter_capped,
+        events_per_path=(counts.ext_orders + counts.jumps) / n_paths,
+        own_orders_per_path=counts.own_orders / n_paths,
     )

@@ -213,6 +213,15 @@ def test_validate_mode_passes_on_the_tiny_model(tiny_config, tmp_path, caplog):
     assert any("validation passed" in rec.message for rec in caplog.records)
 
 
+def test_validate_mode_logs_replay_diagnostics(tiny_config, tmp_path, caplog):
+    argv = ["--config", str(tiny_config), "--mode", "validate",
+            "--out", str(tmp_path), "--paths", "50", "--seed", "7"]
+    with caplog.at_level(logging.INFO):
+        assert main(argv) == 0
+    line = next(r.message for r in caplog.records if r.message.startswith("monte carlo"))
+    assert "paths/s" in line and "chatter_capped 0" in line
+
+
 def test_baseline_mode_reports_expected_instability(tiny_config, caplog):
     argv = ["--config", str(tiny_config), "--mode", "baseline"]
     with caplog.at_level(logging.INFO):

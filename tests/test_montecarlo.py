@@ -6,8 +6,11 @@ deterministic degenerate model where the realized objective has a closed
 form.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from mmqvi import (
     GridSpec,
@@ -16,6 +19,7 @@ from mmqvi import (
     simulate_path,
     solve_backward,
 )
+from mmqvi.montecarlo import _first_arrivals, _next_jump
 
 from conftest import quiet_params
 
@@ -156,3 +160,117 @@ def test_bad_inputs_are_rejected(fast_params, fast_sol):
         simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), seed=0)
     with pytest.raises(ValueError, match="n_paths"):
         estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 0, seed=0)
+
+
+def test_replay_counts_in_the_frozen_model(frozen_sol):
+    p, sol = frozen_sol
+    # flat book at alpha = 0: nothing happens on any path
+    idle = estimate_performance(p, sol, (0.0, 100.0, 0.0, 0), 200, seed=0)
+    assert idle.mean == 0.0
+    assert idle.events_per_path == 0.0 and idle.own_orders_per_path == 0.0
+    # one unit long: the maker sells it at t = 0, whose bump alpha = -gamma_b
+    # then decays and drives down-ticks at rate gamma_b*exp(-k*t), so each
+    # path sees a Poisson number of jumps with the mean below
+    n = 4000
+    report = estimate_performance(p, sol, (2.0, 100.0, 0.0, 1), n, seed=0)
+    assert report.mean == pytest.approx(101.99, abs=1e-9)
+    assert report.own_orders_per_path == 1.0
+    assert report.chatter_capped == 0
+    expected = p.gamma_b * (1.0 - np.exp(-p.k * p.T)) / p.k
+    assert abs(report.events_per_path - expected) <= 4.5 * np.sqrt(expected / n)
+
+
+def test_solved_policy_never_hits_the_cascade_cap(fast_params, fast_sol):
+    for y0 in [(0.0, 100.0, 0.0, 0), (0.0, 100.0, -30.0, 2), (0.0, 100.0, 12.0, 1)]:
+        report = estimate_performance(fast_params, fast_sol, y0, 300, seed=4)
+        assert report.chatter_capped == 0
+        assert report.events_per_path > 0.0
+
+
+def test_estimate_rejects_an_inventory_outside_the_cap(fast_params, fast_sol):
+    with pytest.raises(SimulationError, match="inventory"):
+        estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), 10, seed=0)
+
+
+@pytest.mark.parametrize("theta", [0.1, 1e-12, 2.0])
+def test_vectorized_jump_times_match_the_scalar_inversion(theta):
+    rng = np.random.default_rng(0)
+    k = 200.0
+    c = rng.uniform(0.0, 2.0, 500)
+    c[:50] = 0.0
+    window = rng.uniform(0.0, 0.05, 500)
+    total = theta * window + c * (1.0 - np.exp(-k * window))
+    budget = rng.uniform(0.0, 1.0, 500) * total
+    roots = _first_arrivals(theta, c, k, budget, window)
+    expected = [_next_jump(theta, *args) for args in zip(c, [k] * 500, budget, window)]
+    np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+
+def test_event_counts_match_the_signal_free_rates():
+    # gamma and rho so small that alpha stays at 0: orders arrive at
+    # lambda_a + lambda_b and price jumps at theta in each direction
+    tiny = 1e-12
+    p = quiet_params(
+        T=1.0, sigma=0.01, theta=5.0, delta=0.005, eps=0.005,
+        lambda_a=1.0, lambda_b=2.0, k=1.0, rho=tiny, gamma_a=tiny,
+        gamma_b=tiny, phi=0.1, psi=0.05, q_bar=1, alpha_cap=1.0,
+    )
+    sol = solve_backward(p, GridSpec(10, 5, 1.0, 1))
+    n = 2000
+    report = estimate_performance(p, sol, (0.0, 100.0, 0.0, 0), n, seed=0)
+    expected = (2.0 * p.theta + p.lambda_a + p.lambda_b) * p.T
+    assert abs(report.events_per_path - expected) <= 4.5 * np.sqrt(expected / n)
+
+
+@pytest.fixture(scope="module")
+def busy_model(fast_params):
+    """fast_params with about four external orders per time step, so the
+    replay's later rounds and post-order cascades see real traffic."""
+    p = quiet_params(**{**asdict(fast_params), "lambda_a": 20.0, "lambda_b": 20.0})
+    return p, solve_backward(p, GridSpec(10, 31, 30.0, 2))
+
+
+@pytest.fixture(scope="module")
+def fast_model(fast_params, fast_sol):
+    return fast_params, fast_sol
+
+
+@pytest.mark.parametrize("model", ["fast_model", "busy_model"])
+def test_batched_replay_agrees_with_the_scalar_simulator(model, request):
+    """estimate_performance and simulate_path sample the same law.
+
+    The thresholds follow from a false-failure budget of 1e-4, fixed in
+    advance and split evenly over three checks: the objective means (normal
+    approximation), the objective variances (F approximation with degrees of
+    freedom shrunk for the excess kurtosis, Shoemaker 2003) and the mean own
+    orders per path (normal approximation).  So a correct replay fails this
+    test with probability at most 1e-4.
+    """
+    p, sol = request.getfixturevalue(model)
+    y0 = (0.0, 100.0, 12.0, 1)
+    seed, n_scalar, n_batched = 1, 2000, 8000
+    level = 1e-4 / 3
+    z_limit = stats.norm.isf(level / 2)  # 4.15
+    records = [
+        simulate_path(p, sol, y0, child)
+        for child in np.random.SeedSequence(seed).spawn(n_scalar)
+    ]
+    scalar = np.array([rec.realized_objective for rec in records])
+    batched = estimate_performance(p, sol, y0, n_batched, seed=seed)
+
+    var_scalar = scalar.var(ddof=1)
+    z = (batched.mean - scalar.mean()) / np.hypot(
+        batched.stderr, np.sqrt(var_scalar / n_scalar)
+    )
+    assert abs(z) <= z_limit
+
+    # var(s^2)/sigma^4 = 2/(n-1) + kurtosis/n sets the effective chi^2 dof
+    kurtosis = max(float(stats.kurtosis(scalar)), 0.0)
+    dof = [2.0 / (2.0 / (n - 1) + kurtosis / n) for n in (n_batched, n_scalar)]
+    lo, hi = stats.f.ppf([level / 2, 1.0 - level / 2], *dof)
+    assert lo <= batched.stderr**2 * n_batched / var_scalar <= hi
+
+    # the scalar counts' variance stands in for the batched one (same law)
+    own = np.array([len(rec.own_order_cash) for rec in records])
+    se = np.sqrt(own.var(ddof=1) * (1.0 / n_scalar + 1.0 / n_batched))
+    assert abs(batched.own_orders_per_path - own.mean()) <= z_limit * se
