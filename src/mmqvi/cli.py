@@ -268,9 +268,10 @@ def _run_solve(cfg: RunConfig) -> int:
     per_level = sol.metadata["per_level"]
     log.info(
         "solve done: %d levels, value range [%s, %s], %d factorizations, "
-        "%d reused solves, wall %.2fs",
+        "%d updated solves, %d reused solves, wall %.2fs",
         len(sol.policies), _fmt(v0.min()), _fmt(v0.max()),
         sum(e["factorizations"] for e in per_level),
+        sum(e["updated_solves"] for e in per_level),
         sum(e["reused_solves"] for e in per_level),
         sol.metadata["wall_time"],
     )

@@ -3,8 +3,9 @@
 The assembled matrices are weakly chained diagonally dominant Z-matrices
 (hence nonsingular M-matrices) at desk scale, so a direct sparse LU solve is
 the primary route; a ``Factorization`` keeps the LU factors of one matrix so
-that later right-hand sides skip the factoring.  Every solve is verified
-against the mixed absolute-relative residual contract
+that later right-hand sides skip the factoring, and serves matrices that
+differ from it in a few rows through a low-rank correction.  Every solve is
+verified against the mixed absolute-relative residual contract
 
     ||A v - b||_inf <= tol * (1 + ||b||_inf)
 
@@ -15,9 +16,12 @@ returning silently wrong values.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -53,9 +57,8 @@ def residual_norm(matrix, rhs: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(matrix @ v - rhs))) if rhs.size else 0.0
 
 
-def _residual_ok(matrix, rhs, v, tol) -> tuple[bool, float]:
-    res = residual_norm(matrix, rhs, v)
-    return res <= tol * (1.0 + float(np.max(np.abs(rhs), initial=0.0))), res
+def _meets_contract(res: float, rhs: np.ndarray, tol: float) -> bool:
+    return res <= tol * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
 
 
 def _check_diagonal(matrix) -> None:
@@ -66,36 +69,113 @@ def _check_diagonal(matrix) -> None:
         )
 
 
-class Factorization:
-    """Sparse LU factors of one matrix, reusable across right-hand sides.
+def _load_malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return None
 
-    Every ``solve`` is checked against the residual contract on the factored
-    matrix, so a reused factorization is held to the same standard as a
-    fresh one.  Raises SingularSystemError for a zero diagonal entry or an
-    exactly singular matrix.
+
+_MALLOC_TRIM = _load_malloc_trim()
+
+
+def release_heap() -> None:
+    """Return the heap's free pages to the OS (glibc ``malloc_trim(0)``).
+
+    A released SuperLU object leaves free blocks between live ones, and the
+    heap keeps those pages resident; trimming after each release keeps the
+    peak resident size of a long solve flat.  Does nothing where the C
+    library has no ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+class Factorization:
+    """Sparse LU factors of a base matrix A0, corrected for changed rows.
+
+    ``update`` lets the factors serve a matrix A that equals A0 outside a
+    row set S by the Sherman-Morrison-Woodbury identity: with
+    Delta = (A - A0)[S, :], W = A0^-1 E_S and C = I + Delta W, the solution
+    of A v = b is v = y - W C^-1 Delta y where y = A0^-1 b.  A fresh
+    factorization is the case S = {}.  S only grows, up to ``max_rank`` =
+    floor(sqrt(n)) rows, about where the triangular solves that build W cost
+    as much as one factorization; each row new to S costs one triangular
+    solve.
+
+    Every ``solve`` is checked against the residual contract on A itself
+    (A0 with the rows in S replaced), so a reused or corrected factorization
+    is held to the same standard as a fresh one.  Raises SingularSystemError
+    for a zero diagonal entry or an exactly singular matrix.
     """
 
     def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix)
-        rows, cols = self.matrix.shape
-        if rows != cols:
+        n, cols = self.matrix.shape
+        if n != cols:
             raise ValueError(f"matrix shape {self.matrix.shape} is not square")
         _check_diagonal(self.matrix)
+        self.max_rank = math.isqrt(n)
+        self.rows = np.empty(0, dtype=np.int64)
+        self._block = self._delta = self._c = None
+        # Row j holds column j of W.  Allocated before the LU so that the
+        # LU's blocks, freed when it is released, do not pin this one.
+        self._w = np.empty((self.max_rank, n))
         try:
             self._lu = spla.splu(self.matrix.tocsc())
         except RuntimeError as exc:  # splu signals exact singularity this way
             raise SingularSystemError(f"direct factorization failed: {exc}") from exc
 
+    @property
+    def rank(self) -> int:
+        """Number of rows in S, the rank of the correction."""
+        return self.rows.size
+
+    def update(self, rows: np.ndarray, block) -> None:
+        """Serve the matrix whose rows ``rows`` are ``block``, A0 elsewhere.
+
+        ``rows`` are ascending node indices that include every row already
+        in S; ``block`` holds the new rows in that order.  Raises ValueError
+        when the union would exceed ``max_rank`` rows.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        new = np.setdiff1d(rows, self.rows)
+        k0, k = self.rank, self.rank + new.size
+        if rows.size != k or k > self.max_rank:
+            raise ValueError(
+                f"update rows must include the {k0} corrected rows and number "
+                f"at most {self.max_rank}, got {rows.size}"
+            )
+        if new.size:
+            # The unit right sides E_new are built in W's own free rows, so
+            # the only temporary is the solution block.
+            unit = self._w[k0:k]
+            unit[:] = 0.0
+            unit[np.arange(new.size), new] = 1.0
+            self._w[k0:k] = self._lu.solve(unit.T).T
+            self.rows = np.concatenate([self.rows, new])
+        if not k:
+            return
+        self._block = sp.csr_matrix(block)[np.searchsorted(rows, self.rows)]
+        self._delta = self._block - self.matrix[self.rows]
+        self._c = sla.lu_factor(np.eye(k) + self._delta @ self._w[:k].T)
+
     def solve(self, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
-        """Solve ``matrix @ v = rhs``; raise SolveError if the contract fails."""
+        """Solve ``A @ v = rhs``; raise SolveError if the contract fails."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.matrix.shape[0],):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} incompatible with rhs length {rhs.shape[0]}"
             )
         v = self._lu.solve(rhs)
-        ok, res = _residual_ok(self.matrix, rhs, v, tol)
-        if not ok:
+        s = self.rows
+        if s.size:
+            v -= self._w[: s.size].T @ sla.lu_solve(self._c, self._delta @ v)
+        r = self.matrix @ v - rhs
+        if s.size:
+            r[s] = self._block @ v - rhs[s]
+        res = float(np.max(np.abs(r))) if r.size else 0.0
+        if not _meets_contract(res, rhs, tol):
             raise SolveError("direct solve missed the residual contract",
                              best_iterate=v, residual_norm=res)
         return SolveReport(solution=v, method="direct-lu", iterations=1,
@@ -135,8 +215,8 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10, method: str = "auto",
 
     v, info = spla.lgmres(matrix, rhs, x0=v0, rtol=tol, atol=tol,
                           maxiter=max_iter, callback=_cb)
-    ok, res = _residual_ok(matrix, rhs, v, tol)
-    if ok:
+    res = residual_norm(matrix, rhs, v)
+    if _meets_contract(res, rhs, tol):
         return SolveReport(solution=v, method="lgmres", iterations=count["n"],
                            residual_norm=res)
     raise SolveError(

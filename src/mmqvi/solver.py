@@ -124,7 +124,7 @@ def solve_backward(
     policies: list[Policy | None] = [None] * n_levels
     per_level = []
     # The policy that ends one level usually starts the next, so its
-    # factorization carries over.
+    # factorization, and its low-rank correction, carry over.
     cache = SystemCache()
 
     for n in range(n_levels - 1, -1, -1):
@@ -142,8 +142,12 @@ def solve_backward(
                 "metric": trace.stop_metrics[-1] if trace.stop_metrics else 0.0,
                 "min_increment": min(trace.min_increments, default=0.0),
                 "converged_by": trace.converged_by,
-                "factorizations": trace.reused.count(False),
-                "reused_solves": trace.reused.count(True),
+                "factorizations": sum(
+                    r in ("fresh", "refactored-after-miss") for r in trace.routes
+                ),
+                "updated_solves": trace.routes.count("updated"),
+                "reused_solves": trace.routes.count("reused"),
+                "max_update_rank": max(trace.ranks, default=0),
                 "min_interior_margin": min(
                     (r.min_interior_margin for r in trace.reports), default=None
                 ),

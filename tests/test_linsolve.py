@@ -60,6 +60,59 @@ def test_factorization_solves_many_right_hand_sides():
     assert exc_info.value.best_iterate is not None
 
 
+class CountingLU:
+    """Stands in for a SuperLU object and counts the columns it solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.columns = 0
+
+    def solve(self, b):
+        self.columns += 1 if b.ndim == 1 else b.shape[1]
+        return self.lu.solve(b)
+
+
+def test_row_updates_match_a_fresh_factorization():
+    n = 150
+    a, _ = random_dominant_system(n, seed=6)
+    other, _ = random_dominant_system(n, seed=7)
+    lu = Factorization(a)
+    assert lu.max_rank == 12 and lu.rank == 0
+    counter = lu._lu = CountingLU(lu._lu)
+    b = np.random.default_rng(8).normal(size=n)
+    target = a.tolil()
+
+    def update_and_check(rows, new_columns):
+        rows = np.array(rows)
+        before = counter.columns
+        lu.update(rows, target.tocsr()[rows])
+        # each row new to S costs one triangular solve, rows already in S none
+        assert counter.columns - before == new_columns
+        assert lu.rank == rows.size
+        report = lu.solve(b)
+        exact = target.tocsr()
+        assert report.residual_norm == pytest.approx(
+            residual_norm(exact, b, report.solution), rel=1e-12
+        )
+        assert report.residual_norm <= 1e-10 * (1.0 + np.abs(b).max())
+        np.testing.assert_allclose(report.solution, solve(exact, b).solution,
+                                   rtol=0, atol=1e-12)
+
+    target[[3, 40]] = other[[3, 40]]
+    update_and_check([3, 40], 2)
+    target[99] = other[99]
+    update_and_check([3, 40, 99], 1)
+    # row 3 changes back to A0 and stays in S with a zero correction
+    target[3] = a[3]
+    update_and_check([3, 40, 99], 0)
+
+    with pytest.raises(ValueError, match="corrected rows"):
+        lu.update(np.array([3, 40]), target.tocsr()[[3, 40]])
+    too_many = np.arange(13)
+    with pytest.raises(ValueError, match="at most 12"):
+        lu.update(too_many, target.tocsr()[too_many])
+
+
 def test_inverse_positivity_of_m_matrices():
     # Dominant Z-matrices have nonnegative inverses: b >= 0 forces v >= 0.
     for seed in range(5):

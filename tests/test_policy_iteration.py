@@ -16,7 +16,9 @@ from mmqvi import (
     iterate,
     verify_theorem_conditions,
 )
+from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _check_impulse_paths, _stopping_metric
+from mmqvi.scheme import Policy
 from mmqvi.solver import terminal_vector
 
 import mmqvi.policy_iteration
@@ -130,9 +132,11 @@ def toy_policy(grid, edits=()):
     return apply_caps(grid, fields["la"], fields["lb"], fields["z"], fields["d"])
 
 
-def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2):
+def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2,
+                values=None):
     """Solve one step under ``first``, then under ``second`` with the same
-    cache; return both traces and the number of LU factorizations made."""
+    cache; return both traces and the number of LU factorizations made.
+    The two solutions are appended to ``values`` when it is given."""
     factorings = []
     splu = mmqvi.linsolve.spla.splu
     monkeypatch.setattr(
@@ -144,10 +148,18 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
     traces = []
     for pol, cfg in zip((first, second), cfgs):
         monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
-        _, _, trace = iterate(grid, p, st, v0, v_next, cfg, cache)
+        v, _, trace = iterate(grid, p, st, v0, v_next, cfg, cache)
         assert trace.iterations == 1 and trace.converged_by == "policy-repeat"
         traces.append(trace)
+        if values is not None:
+            values.append(v)
     return traces, len(factorings)
+
+
+def fresh_solution(grid, p, st, policy):
+    """One fresh LU solve of the step under ``policy`` from the terminal level."""
+    system = assemble_system(grid, p, st, policy, terminal_vector(grid, p))
+    return solve(system.matrix, system.rhs).solution
 
 
 def test_inactive_impulse_direction_shares_the_factorization(
@@ -174,14 +186,37 @@ def test_inactive_impulse_direction_shares_the_factorization(
     ids=["la", "lb", "d", "active-z"],
 )
 def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit):
+    # A one-row change is within the rank cap (floor(sqrt(9)) = 3 rows), so
+    # the cached LU is corrected instead of refactored.
     first = toy_policy(toy_grid)
     second = toy_policy(toy_grid, [edit])
     assert first.matrix_key() != second.matrix_key()
+    values = []
     (_, t2), factorings = solve_twice(
-        toy_grid, toy_params, toy_stencils, first, second, monkeypatch
+        toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
+    )
+    assert factorings == 1
+    assert t2.routes == ["updated"] and t2.ranks == [1]
+    fresh = fresh_solution(toy_grid, toy_params, toy_stencils, second)
+    atol = 1e-12 * max(1.0, np.abs(fresh).max())
+    np.testing.assert_allclose(values[1], fresh, rtol=0, atol=atol)
+
+
+def test_changes_beyond_the_rank_cap_refactor(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    first = toy_policy(toy_grid)
+    # four changed rows exceed floor(sqrt(9)) = 3
+    second = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)])
+    assert Policy.changed_rows(first.matrix_key(), second.matrix_key()).size == 4
+    values = []
+    (_, t2), factorings = solve_twice(
+        toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
     )
     assert factorings == 2
-    assert t2.reused == [False]
+    assert t2.routes == ["fresh"] and t2.ranks == [0]
+    fresh = fresh_solution(toy_grid, toy_params, toy_stencils, second)
+    assert np.array_equal(values[1], fresh)
 
 
 def test_cache_entries_hold_only_for_their_problem_and_checks(
@@ -223,6 +258,30 @@ def test_verifier_accepts_toy_systems(toy_grid, toy_params, toy_stencils):
     assert report.sound and report.ok
     assert report.mode == "clamp"
     assert report.min_interior_margin >= 1.0 - 1e-10
+
+
+def test_verifier_on_row_blocks_names_nodes(grid6, params6, stencils6):
+    v_next = terminal_vector(grid6, params6)
+    m = grid6.n_nodes
+    pol = apply_caps(grid6, np.ones(m), np.ones(m), np.ones(m), np.zeros(m))
+    full = verify_theorem_conditions(
+        grid6, pol, assemble_system(grid6, params6, stencils6, pol, v_next)
+    )
+    nodes = np.arange(0, m, 7)
+    block = verify_theorem_conditions(
+        grid6, pol, assemble_system(grid6, params6, stencils6, pol, v_next, nodes)
+    )
+    assert block.sound and full.sound
+    # a block's margins are taken over its own rows only
+    assert block.min_interior_margin >= full.min_interior_margin
+    assert block.min_boundary_margin >= full.min_boundary_margin
+    # a failing row is reported by its node, not by its position in the block
+    system = assemble_system(grid6, params6, stencils6, pol, v_next, nodes[5:8])
+    system.matrix = system.matrix.tolil()
+    system.matrix[1, nodes[6]] = -1.0
+    system.matrix = system.matrix.tocsr()
+    report = verify_theorem_conditions(grid6, pol, system)
+    assert any(f"row {nodes[6]}" in msg for msg in report.hard_failures)
 
 
 def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):

@@ -61,15 +61,27 @@ def test_reused_factorizations_reproduce_fresh_solves(params6):
     sol = solve_backward(params6, spec)
     grid = sol.grid
     st = build_stencils(grid, params6, "clamp")
+    levels = {e["level"]: e for e in sol.metadata["per_level"]}
     for n, policy in enumerate(sol.policies):
         system = assemble_system(grid, params6, st, policy, sol.surfaces[n + 1].values)
         fresh = solve(system.matrix, system.rhs).solution
-        assert np.array_equal(fresh, sol.surfaces[n].values), f"level {n}"
+        if levels[n]["max_update_rank"] == 0:
+            # every solve of the level used a plain LU, fresh or reused
+            assert np.array_equal(fresh, sol.surfaces[n].values), f"level {n}"
+        else:
+            # A low-rank correction rounds differently from a fresh LU.  The
+            # largest deviation measured is 5.2e-15 here and 1.1e-14 on the
+            # 909-node reference grid, relative to max(1, max|v|); the bound
+            # leaves about 100x headroom on both.
+            scale = max(1.0, float(np.max(np.abs(fresh))))
+            err = float(np.max(np.abs(fresh - sol.surfaces[n].values)))
+            assert err <= 1e-12 * scale, f"level {n}: {err:.3e}"
 
     levels = sol.metadata["per_level"]
     reused = sum(e["reused_solves"] for e in levels)
-    assert reused > 0
-    assert sum(e["factorizations"] for e in levels) + reused == sum(
+    updated = sum(e["updated_solves"] for e in levels)
+    assert reused > 0 and updated > 0
+    assert sum(e["factorizations"] for e in levels) + updated + reused == sum(
         e["iterations"] for e in levels
     )
     for e in levels:
