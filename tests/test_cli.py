@@ -10,6 +10,7 @@ does, so it needs no installed package; the other runs the generated
 
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -193,6 +194,16 @@ def test_solve_mode_writes_reproducible_csvs(tiny_config, tmp_path):
     assert main(["--config", str(tiny_config), "--out", str(out2)]) == 0
     for name in ("value_t0.csv", "policy_t0.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_mode_logs_the_solve_routes(tiny_config, tmp_path, caplog):
+    with caplog.at_level(logging.INFO):
+        assert main(["--config", str(tiny_config), "--out", str(tmp_path)]) == 0
+    line = next(r.message for r in caplog.records if r.message.startswith("solve done"))
+    counts = re.search(
+        r"(\d+) factorizations, (\d+) updated solves, (\d+) reused solves", line
+    )
+    assert counts and int(counts[1]) >= 1
 
 
 def test_validate_mode_passes_on_the_tiny_model(tiny_config, tmp_path, caplog):

@@ -16,7 +16,15 @@ from hypothesis import strategies as hst  # noqa: E402
 import mmqvi.linsolve  # noqa: E402
 import mmqvi.policy_iteration  # noqa: E402
 from conftest import quiet_params  # noqa: E402
-from mmqvi import GridSpec, PiterConfig, apply_caps, assemble_system, build_grid, build_stencils, iterate  # noqa: E402
+from mmqvi import (  # noqa: E402
+    GridSpec,
+    PiterConfig,
+    apply_caps,
+    assemble_system,
+    build_grid,
+    build_stencils,
+    iterate,
+)
 from mmqvi.linsolve import Factorization, SolveError, residual_norm, solve  # noqa: E402
 from mmqvi.policy_iteration import SystemCache  # noqa: E402
 from mmqvi.scheme import Policy  # noqa: E402

@@ -219,6 +219,46 @@ def test_changes_beyond_the_rank_cap_refactor(
     assert np.array_equal(values[1], fresh)
 
 
+def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypatch):
+    first = toy_policy(toy_grid)
+    # node 7 (alpha 1, q 1) impulses down into node 4, which impulses up
+    second = toy_policy(toy_grid, [("d", 7, 1), ("z", 7, -1)])
+    assert Policy.changed_rows(first.matrix_key(), second.matrix_key()).size == 1
+    cache = SystemCache()
+    v_next = terminal_vector(toy_grid, toy_params)
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: first)
+    iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: second)
+    with pytest.raises(VerificationError) as exc_info:
+        iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+    assert not exc_info.value.report.path_ok
+    # the changed row failed verification before the cached factors changed
+    assert cache.key == first.matrix_key() and cache.factors.rank == 0
+
+
+def test_a_refactor_releases_the_old_lu_before_assembling(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    events = []
+    assemble = mmqvi.scheme.assemble_system
+    monkeypatch.setattr(mmqvi.linsolve, "release_heap", lambda: events.append("release"))
+    monkeypatch.setattr(
+        mmqvi.scheme, "assemble_system",
+        lambda *a: events.append(("assemble", len(a))) or assemble(*a),
+    )
+    first = toy_policy(toy_grid)
+    second = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)])
+    solve_twice(toy_grid, toy_params, toy_stencils, first, second, monkeypatch)
+    # the first solve has no LU to release; the refactor releases it first
+    assert events == [("assemble", 5), "release", ("assemble", 5)]
+    events.clear()
+    third = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)]
+                       + [("lb", 3, 0)])
+    solve_twice(toy_grid, toy_params, toy_stencils, second, third, monkeypatch)
+    # an update assembles its changed rows alone and releases nothing
+    assert events == [("assemble", 5), ("assemble", 6)]
+
+
 def test_cache_entries_hold_only_for_their_problem_and_checks(
     toy_grid, toy_params, toy_stencils, monkeypatch
 ):
