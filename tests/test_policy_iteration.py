@@ -321,7 +321,7 @@ def test_verifier_on_row_blocks_names_nodes(grid6, params6, stencils6):
     system.matrix[1, nodes[6]] = -1.0
     system.matrix = system.matrix.tocsr()
     report = verify_theorem_conditions(grid6, pol, system)
-    assert any(f"row {nodes[6]}" in msg for msg in report.hard_failures)
+    assert report.hard_failures[0] == f"nonpositive diagonal at row {nodes[6]}"
 
 
 def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):
