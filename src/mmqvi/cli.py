@@ -267,11 +267,11 @@ def _run_solve(cfg: RunConfig) -> int:
     v0 = sol.surfaces[0].values
     per_level = sol.metadata["per_level"]
     log.info(
-        "solve done: %d levels, value range [%s, %s], %d factorizations, "
-        "%d updated solves, %d reused solves, wall %.2fs",
+        "solve done: %d levels, value range [%s, %s], %d sweeps, "
+        "%d fallbacks, %d reused solves, wall %.2fs",
         len(sol.policies), _fmt(v0.min()), _fmt(v0.max()),
-        sum(e["factorizations"] for e in per_level),
-        sum(e["updated_solves"] for e in per_level),
+        sum(e["sweeps"] for e in per_level),
+        sum(e["fallbacks"] for e in per_level),
         sum(e["reused_solves"] for e in per_level),
         sol.metadata["wall_time"],
     )

@@ -1,17 +1,20 @@
 """Howard policy iteration for one implicit time step.
 
-Alternates the node-wise argmax of the step residual with an exact linear
-solve of the selected policy system until the relative change of the iterate
-drops below tolerance or the policy repeats exactly.  Under the verified
-matrix conditions (Z-matrix, diagonal dominance, and an impulse chain from
-every d = 1 node to a continuation node) the iterates are entrywise
-nondecreasing and converge in finitely many steps, which is asserted at
-verification level ``per-step`` and above.
+Alternates the node-wise argmax of the step residual with a linear solve of
+the selected policy system until the relative change of the iterate drops
+below tolerance or the policy repeats exactly.  Under the verified matrix
+conditions (Z-matrix, diagonal dominance, and an impulse chain from every
+d = 1 node to a continuation node) A(P) is a nonsingular M-matrix, so the
+solve runs regular-splitting sweeps started from the current iterate, which
+is a subsolution of the improved policy's system.  The sweeps, and with them
+the iterates, are then entrywise nondecreasing, and the iteration converges
+in finitely many steps; monotonicity is asserted at verification level
+``per-step`` and above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,21 +69,18 @@ class PiterConfig:
 class PiterTrace:
     """Per-iteration diagnostics: policy digests, stopping metrics, the
     smallest entrywise increment of each new iterate (negative = decrease),
-    the route of each solve and the rank of the low-rank correction it
-    solved with (0 for a plain LU), and the verification report of each
-    solved system (none at verification off).
-
-    Routes: ``fresh`` (a new LU), ``reused`` (the cached factors as they
-    are), ``updated`` (the cached factors corrected for the changed rows) and
-    ``refactored-after-miss`` (a new LU after a corrected solve missed the
-    residual contract).
+    the route of each solve (``fresh``: A(P) assembled, verified and split;
+    ``reused``: the cached splitting and report), the splitting sweeps of
+    each solve, the number of solves that fell back to sparse LU, and the
+    verification report of each solved system (none at verification off).
     """
 
     policy_digests: list[str] = field(default_factory=list)
     stop_metrics: list[float] = field(default_factory=list)
     min_increments: list[float] = field(default_factory=list)
     routes: list[str] = field(default_factory=list)
-    ranks: list[int] = field(default_factory=list)
+    sweeps: list[int] = field(default_factory=list)
+    fallbacks: int = 0
     reports: list["VerificationReport"] = field(default_factory=list)
     converged_by: str = ""
 
@@ -90,7 +90,7 @@ class PiterTrace:
 
     @property
     def reused(self) -> list[bool]:
-        """Whether each solve reused the cached factors unchanged."""
+        """Whether each solve reused the cached splitting."""
         return [route == "reused" for route in self.routes]
 
 
@@ -126,85 +126,37 @@ class VerificationReport:
 
 @dataclass(eq=False)
 class SystemCache:
-    """LU factors and verification report of the last solved A(P).
+    """Splitting and verification report of the last solved A(P).
 
-    Holds one entry for the grid, model and stencils it was assembled for,
-    so at most one LU is alive at a time: the factors of a base matrix
-    A(P0), keyed ``base_key`` = ``P0.matrix_key()``, with the low-rank
-    correction (``linsolve.Factorization.update``) that makes them serve the
-    last solved A(P), keyed ``key``.  ``report`` verifies A(P) and
-    ``base_report`` A(P0); both are None when unverified.
+    Holds one entry, for the grid, model and stencils (``owner``) it was
+    assembled for: ``key`` = ``P.matrix_key()``, ``report`` (None when
+    unverified) and ``split``, the ``linsolve.Splitting`` of A(P).
     """
 
     key: bytes | None = None
-    base_key: bytes | None = None
     owner: tuple | None = None
     report: "VerificationReport | None" = None
-    base_report: "VerificationReport | None" = None
-    factors: linsolve.Factorization | None = None
-
-    def _serves(self, grid, p, st) -> bool:
-        return self.factors is not None and all(
-            a is b for a, b in zip(self.owner, (grid, p, st))
-        )
+    split: linsolve.Splitting | None = None
 
     def holds(self, grid, p, st, key: bytes, verify: bool) -> bool:
-        """Whether the entry factors A(P) for ``key`` on this problem and,
+        """Whether the entry splits A(P) for ``key`` on this problem and,
         when ``verify`` is set, was verified."""
         return (
             self.key == key
-            and self._serves(grid, p, st)
+            and all(a is b for a, b in zip(self.owner, (grid, p, st)))
             and (self.report is not None or not verify)
         )
 
-    def rows_to_update(self, grid, p, st, key: bytes, verify: bool) -> np.ndarray | None:
-        """Rows to correct so that the base factors serve A(P) for ``key``:
-        those already corrected plus those where A(P) differs from the base.
-        None when the entry cannot serve this problem (or, with ``verify``,
-        its base was not verified) or the rows exceed the rank cap."""
-        if not self._serves(grid, p, st) or (verify and self.base_report is None):
-            return None
-        rows = np.union1d(self.factors.rows, Policy.changed_rows(key, self.base_key))
-        return rows if rows.size <= self.factors.max_rank else None
-
-    def refactor(self, grid, p, st, policy: Policy, v_next, key: bytes,
-                 verify: bool) -> None:
-        """Assemble, verify and factor A(P) as a new base.
-
-        The old LU is released, and the heap trimmed, before assembly, so
-        the new LU does not grow the heap around the old one's free blocks.
-        """
-        self.clear()
+    def refresh(self, grid, p, st, policy: Policy, v_next, key: bytes,
+                verify: bool) -> None:
+        """Assemble, verify and split A(P) for ``key``.  The entry changes
+        only when all three succeed."""
         system = scheme.assemble_system(grid, p, st, policy, v_next)
-        if verify:
-            self.report = _verified(verify_theorem_conditions(grid, policy, system))
-        self.factors = linsolve.Factorization(system.matrix)
-        self.key = self.base_key = key
-        self.owner = (grid, p, st)
-        self.base_report = self.report
-
-    def update(self, grid, p, st, policy: Policy, v_next, key: bytes,
-               rows: np.ndarray, verify: bool) -> None:
-        """Assemble and verify rows ``rows`` of A(P) and correct the factors
-        for them.  The verifier's matrix checks are row-local, so the base
-        report covers the other rows; its impulse-chain walk covers the
-        whole policy."""
-        block = scheme.assemble_system(grid, p, st, policy, v_next, rows)
-        report = None
-        if verify:
-            report = _merged(
-                self.base_report,
-                _verified(verify_theorem_conditions(grid, policy, block)),
-            )
-        self.factors.update(rows, block.matrix)
-        self.key, self.report = key, report
-
-    def clear(self) -> None:
-        released = self.factors is not None
-        self.key = self.base_key = self.owner = None
-        self.report = self.base_report = self.factors = None
-        if released:
-            linsolve.release_heap()
+        report = (
+            _verified(verify_theorem_conditions(grid, policy, system)) if verify else None
+        )
+        split = linsolve.Splitting(system.matrix)
+        self.key, self.owner, self.report, self.split = key, (grid, p, st), report, split
 
 
 def improve_policy(
@@ -224,10 +176,7 @@ def verify_theorem_conditions(
 ) -> VerificationReport:
     """Check the matrix and impulse-graph conditions behind convergence.
 
-    The matrix checks cover the rows of ``system`` (a block of rows of A(P)
-    or all of it) and depend on each row alone; the impulse-chain walk
-    covers the whole policy.  Continuation rows of A(P) must form a
-    Z-matrix with positive diagonal,
+    Continuation rows of A(P) must form a Z-matrix with positive diagonal,
     strictly dominant on rows untouched by cap handling and positively
     dominant on the rest; impulse rows must be weakly dominant with zero row
     sum; and the z-directed chain from every d = 1 node must reach a d = 0
@@ -236,10 +185,8 @@ def verify_theorem_conditions(
     than failures.
     """
     a = system.matrix.tocoo()
-    nodes = system.nodes
-    on_diag = a.col == nodes[a.row]
-    diag = np.zeros(nodes.size)
-    diag[a.row[on_diag]] = a.data[on_diag]
+    on_diag = a.col == a.row
+    diag = system.matrix.diagonal()
     off = ~on_diag
 
     findings: list[str] = []
@@ -247,7 +194,7 @@ def verify_theorem_conditions(
 
     diag_positive = bool(np.all(diag > 0))
     if not diag_positive:
-        hard.append(f"nonpositive diagonal at row {int(nodes[np.argmin(diag)])}")
+        hard.append(f"nonpositive diagonal at row {int(np.argmin(diag))}")
 
     pos_off_rows = np.unique(a.row[off & (a.data > z_tol)])
     z_matrix_ok = pos_off_rows.size == 0
@@ -259,9 +206,9 @@ def verify_theorem_conditions(
             )
         else:
             where = outside[0] if outside.size else pos_off_rows[0]
-            hard.append(f"positive off-diagonal entry on row {int(nodes[where])}")
+            hard.append(f"positive off-diagonal entry on row {int(where)}")
 
-    abs_off = np.zeros(nodes.size)
+    abs_off = np.zeros(diag.size)
     np.add.at(abs_off, a.row[off], np.abs(a.data[off]))
     margin = diag - abs_off
 
@@ -274,11 +221,11 @@ def verify_theorem_conditions(
     if not interior_dominance_ok:
         hard.append(
             f"interior dominance margin {min_interior:.3e} < 1 at row "
-            f"{int(nodes[interior][np.argmin(margin[interior])])}"
+            f"{int(np.flatnonzero(interior)[np.argmin(margin[interior])])}"
         )
     boundary_dominance_ok = min_boundary > 0.0
     if not boundary_dominance_ok:
-        row = int(nodes[boundary][np.argmin(margin[boundary])])
+        row = int(np.flatnonzero(boundary)[np.argmin(margin[boundary])])
         msg = f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row {row}"
         if system.mode == "paper":
             findings.append("paper mode: " + msg)
@@ -322,24 +269,6 @@ def _verified(report: VerificationReport) -> VerificationReport:
     if not report.sound:
         raise VerificationError("; ".join(report.hard_failures), report)
     return report
-
-
-def _merged(base: VerificationReport, block: VerificationReport) -> VerificationReport:
-    """Report for A(P) from a sound base report and a block report of the
-    rows where A(P) differs.  Flags and margins hold for the union of both
-    row sets, a superset of A(P)'s rows, so the margins are lower bounds;
-    the impulse-chain walk is the block's, which covered the whole policy."""
-    return replace(
-        block,
-        diag_positive=base.diag_positive and block.diag_positive,
-        z_matrix_ok=base.z_matrix_ok and block.z_matrix_ok,
-        interior_dominance_ok=base.interior_dominance_ok and block.interior_dominance_ok,
-        boundary_dominance_ok=base.boundary_dominance_ok and block.boundary_dominance_ok,
-        impulse_rows_ok=base.impulse_rows_ok and block.impulse_rows_ok,
-        min_interior_margin=min(base.min_interior_margin, block.min_interior_margin),
-        min_boundary_margin=min(base.min_boundary_margin, block.min_boundary_margin),
-        findings=base.findings + block.findings,
-    )
 
 
 def _check_impulse_paths(grid: Grid, policy: Policy) -> tuple[bool, int | None]:
@@ -391,16 +320,13 @@ def iterate(
     budget is exhausted or (at verification per-step and above) when an
     iterate decreases by more than 10x the solver tolerance.
 
-    A(P) depends on the policy alone, and its row i on the policy at node i
-    alone.  A solve whose policy has the matrix key of the entry in
-    ``cache`` reuses its report and LU factors and builds only the right
-    side.  Otherwise, when A(P) differs from the cached base matrix in at
-    most ``Factorization.max_rank`` rows, it assembles and verifies only
-    those rows and corrects the cached factors for them; a corrected solve
-    that misses the residual contract factors A(P) afresh and solves again.
-    Anything else releases the cached LU, then assembles, verifies and
-    factors A(P) in full.  Pass one cache to successive calls to carry the
-    factors across time steps.
+    A(P) depends on the policy alone.  A solve whose policy has the matrix
+    key of the entry in ``cache`` reuses its report and splitting and builds
+    only the right side; any other assembles, verifies and splits A(P).
+    Each solve sweeps the splitting from the current iterate; a solve whose
+    sweeps miss the residual contract within ``linsolve.SWEEP_BUDGET`` falls
+    back to sparse LU.  Pass one cache to successive calls to carry the
+    splitting across time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
@@ -417,40 +343,28 @@ def iterate(
             return v, prev_policy, trace
 
         key = policy.matrix_key()
-        if cache.holds(grid, p, st, key, verify):
-            route = "reused"
-        else:
-            rows = cache.rows_to_update(grid, p, st, key, verify)
-            if rows is None:
-                route = "fresh"
-                cache.refactor(grid, p, st, policy, v_next, key, verify)
-            else:
-                route = "updated"
-                cache.update(grid, p, st, policy, v_next, key, rows, verify)
+        route = "reused"
+        if not cache.holds(grid, p, st, key, verify):
+            route = "fresh"
+            cache.refresh(grid, p, st, policy, v_next, key, verify)
         rhs = scheme.assemble_rhs(grid, p, policy, v_next)
-
-        try:
-            v_new = cache.factors.solve(rhs, cfg.solver_tol).solution
-        except linsolve.SolveError:
-            if not cache.factors.rank:
-                raise
-            route = "refactored-after-miss"
-            cache.refactor(grid, p, st, policy, v_next, key, verify)
-            v_new = cache.factors.solve(rhs, cfg.solver_tol).solution
+        report = cache.split.solve(rhs, cfg.solver_tol, v)
+        v_new = report.solution
         increment = float((v_new - v).min())
         metric = _stopping_metric(v_new, v)
         trace.policy_digests.append(policy.digest())
         trace.stop_metrics.append(metric)
         trace.min_increments.append(increment)
         trace.routes.append(route)
-        trace.ranks.append(cache.factors.rank)
+        trace.sweeps.append(report.iterations)
+        trace.fallbacks += report.method != "splitting"
         if cache.report is not None:
             trace.reports.append(cache.report)
 
         if verify and increment < -10.0 * cfg.solver_tol:
             raise PolicyIterationError(
-                f"iterate decreased by {-increment:.3e} "
-                f"(> 10x solver tol {cfg.solver_tol:.1e})",
+                f"iterate decreased by {-increment:.3e} at node "
+                f"{int(np.argmin(v_new - v))} (> 10x solver tol {cfg.solver_tol:.1e})",
                 trace,
             )
 

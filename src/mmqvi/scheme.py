@@ -90,16 +90,6 @@ class Policy:
             for arr in (self.la, self.lb, self.d, active_z)
         )
 
-    @staticmethod
-    def changed_rows(key: bytes, other: bytes) -> np.ndarray:
-        """Ascending rows in which the matrices of two ``matrix_key`` values differ.
-
-        Row i of A(P) depends on the policy at node i alone.
-        """
-        a = np.frombuffer(key, dtype=np.int8).reshape(4, -1)
-        b = np.frombuffer(other, dtype=np.int8).reshape(4, -1)
-        return np.flatnonzero((a != b).any(axis=0))
-
     def equals(self, other: "Policy") -> bool:
         return (
             np.array_equal(self.la, other.la)
@@ -131,10 +121,8 @@ def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Rows ``nodes`` of the assembled A(P) v = b(P), in CSR form.
+    """Assembled linear system A(P) v = b(P), matrix in CSR form.
 
-    Row r of ``matrix``, ``rhs``, ``impulse_mask`` and ``boundary_rows``
-    belongs to node ``nodes[r]``; the full system has ``nodes = 0..n-1``.
     ``impulse_mask`` marks rows taken from I - B(z); ``boundary_rows`` marks
     continuation rows whose shift stencils needed cap handling (the rows
     whose dominance margin degrades in paper extrapolation mode).
@@ -145,7 +133,6 @@ class SparseSystem:
     impulse_mask: np.ndarray
     boundary_rows: np.ndarray
     mode: str
-    nodes: np.ndarray
 
 
 def _upwind_coeffs(grid: Grid, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -371,52 +358,49 @@ def assemble_system(
     st: StencilSet,
     policy: Policy,
     v_next: np.ndarray,
-    nodes: np.ndarray | None = None,
 ) -> SparseSystem:
-    """Assemble rows ``nodes`` (default: all) of A(P) and b(P) for one
-    implicit step under ``policy``.
+    """Assemble A(P) and b(P) for one implicit step under ``policy``.
 
-    A(P) depends only on ``policy.matrix_key()``, and its row i only on the
-    policy at node i; ``v_next`` enters b(P) alone.
+    A(P) depends only on ``policy.matrix_key()``; ``v_next`` enters b(P)
+    alone.
     """
     policy.validate(grid)
     m = grid.n_nodes
     n_alpha = grid.n_alpha
     dt = grid.d_t
-    nodes = np.arange(m) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    pos = np.arange(nodes.size)
+    nodes = np.arange(m)
     ii = nodes % n_alpha
     jj = nodes // n_alpha
 
     lup, ldn = _upwind_coeffs(grid, p)
     diag0 = 1.0 + dt * (lup + ldn + p.lambda_a + p.lambda_b)
 
-    rows = [pos]
+    rows = [nodes]
     cols = [nodes]
     data = [diag0[ii]]
 
     keep = lup[ii] != 0
-    rows.append(pos[keep])
+    rows.append(nodes[keep])
     cols.append(nodes[keep] + 1)
     data.append(-dt * lup[ii[keep]])
 
     keep = ldn[ii] != 0
-    rows.append(pos[keep])
+    rows.append(nodes[keep])
     cols.append(nodes[keep] - 1)
     data.append(-dt * ldn[ii[keep]])
 
-    la = policy.la[nodes].astype(np.int64)
-    lb = policy.lb[nodes].astype(np.int64)
+    la = policy.la.astype(np.int64)
+    lb = policy.lb.astype(np.int64)
     for s in range(st.up_idx.shape[1]):
         w = st.up_w[ii, s]
         keep = w != 0
-        rows.append(pos[keep])
+        rows.append(nodes[keep])
         cols.append((jj[keep] - la[keep]) * n_alpha + st.up_idx[ii[keep], s])
         data.append(-dt * p.lambda_a * w[keep])
     for s in range(st.down_idx.shape[1]):
         w = st.down_w[ii, s]
         keep = w != 0
-        rows.append(pos[keep])
+        rows.append(nodes[keep])
         cols.append((jj[keep] + lb[keep]) * n_alpha + st.down_idx[ii[keep], s])
         data.append(-dt * p.lambda_b * w[keep])
 
@@ -424,26 +408,24 @@ def assemble_system(
     cols = np.concatenate(cols)
     data = np.concatenate(data)
 
-    impulse = policy.d[nodes].astype(bool)
+    impulse = policy.d.astype(bool)
     keep = ~impulse[rows]
     rows, cols, data = rows[keep], cols[keep], data[keep]
 
-    imp_pos = pos[impulse]
     imp_nodes = nodes[impulse]
     imp_nbrs = imp_nodes + policy.z[imp_nodes].astype(np.int64) * n_alpha
-    rows = np.concatenate([rows, imp_pos, imp_pos])
+    rows = np.concatenate([rows, imp_nodes, imp_nodes])
     cols = np.concatenate([cols, imp_nodes, imp_nbrs])
     data = np.concatenate([data, np.ones(imp_nodes.size), -np.ones(imp_nodes.size)])
 
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(nodes.size, m)).tocsr()
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
     matrix.eliminate_zeros()
 
     boundary = (st.up_boundary[ii] | st.down_boundary[ii]) & ~impulse
     return SparseSystem(
         matrix=matrix,
-        rhs=assemble_rhs(grid, p, policy, v_next)[nodes],
+        rhs=assemble_rhs(grid, p, policy, v_next),
         impulse_mask=impulse,
         boundary_rows=boundary,
         mode=st.mode,
-        nodes=nodes,
     )

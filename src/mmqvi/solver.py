@@ -19,8 +19,15 @@ import numpy as np
 
 from . import scheme
 from .grid import Grid, GridSpec, StencilSet, build_grid, build_stencils
+from .linsolve import SolveError
 from .model import ModelParams, stability_bounds, terminal_value
-from .policy_iteration import PiterConfig, PolicyIterationError, SystemCache, iterate
+from .policy_iteration import (
+    PiterConfig,
+    PolicyIterationError,
+    SystemCache,
+    VerificationError,
+    iterate,
+)
 from .scheme import Policy, apply_caps
 
 log = logging.getLogger(__name__)
@@ -111,7 +118,12 @@ def solve_backward(
     piter: PiterConfig = PiterConfig(),
     envelope_tol: float = 1e-8,
 ) -> Solution:
-    """Solve all time levels backward from the terminal surface."""
+    """Solve all time levels backward from the terminal surface.
+
+    A PolicyIterationError, VerificationError or SolveError raised while
+    solving a level is raised again with the time level in its message, its
+    type and payload unchanged.
+    """
     started = time.perf_counter()
     grid = build_grid(p, spec)
     st = build_stencils(grid, p, mode)
@@ -124,7 +136,7 @@ def solve_backward(
     policies: list[Policy | None] = [None] * n_levels
     per_level = []
     # The policy that ends one level usually starts the next, so its
-    # factorization, and its low-rank correction, carry over.
+    # splitting carries over.
     cache = SystemCache()
 
     for n in range(n_levels - 1, -1, -1):
@@ -132,6 +144,11 @@ def solve_backward(
             v, policy, trace = iterate(grid, p, st, v, v, piter, cache)
         except PolicyIterationError as exc:
             raise PolicyIterationError(f"time level {n}: {exc}", exc.trace) from exc
+        except VerificationError as exc:
+            raise VerificationError(f"time level {n}: {exc}", exc.report) from exc
+        except SolveError as exc:
+            raise type(exc)(f"time level {n}: {exc}", exc.best_iterate,
+                            exc.residual_norm, exc.row) from exc
         _check_envelope(p, grid, n, v, envelope_tol)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
         policies[n] = policy
@@ -142,12 +159,9 @@ def solve_backward(
                 "metric": trace.stop_metrics[-1] if trace.stop_metrics else 0.0,
                 "min_increment": min(trace.min_increments, default=0.0),
                 "converged_by": trace.converged_by,
-                "factorizations": sum(
-                    r in ("fresh", "refactored-after-miss") for r in trace.routes
-                ),
-                "updated_solves": trace.routes.count("updated"),
+                "sweeps": sum(trace.sweeps),
+                "fallbacks": trace.fallbacks,
                 "reused_solves": trace.routes.count("reused"),
-                "max_update_rank": max(trace.ranks, default=0),
                 "min_interior_margin": min(
                     (r.min_interior_margin for r in trace.reports), default=None
                 ),

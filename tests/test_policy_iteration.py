@@ -16,11 +16,12 @@ from mmqvi import (
     iterate,
     verify_theorem_conditions,
 )
+from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _check_impulse_paths, _stopping_metric
-from mmqvi.scheme import Policy
 from mmqvi.solver import terminal_vector
 
+import mmqvi.linsolve
 import mmqvi.policy_iteration
 
 
@@ -90,6 +91,20 @@ def test_iterate_exhausts_budget(toy_grid, toy_params, toy_stencils):
     assert exc_info.value.trace.iterations == 1
 
 
+def test_a_decreasing_iterate_names_its_node(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    # a start above the step's solution: the first solve decreases it, most
+    # at node 5
+    pol = toy_policy(toy_grid)
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: pol)
+    v_next = terminal_vector(toy_grid, toy_params)
+    v0 = v_next + 1.0
+    v0[5] += 1.0
+    with pytest.raises(PolicyIterationError, match=r"decreased by \S+ at node 5 "):
+        iterate(toy_grid, toy_params, toy_stencils, v0, v_next)
+
+
 def test_iterate_exhaustive_verification(toy_grid, toy_params, toy_stencils):
     v_next = terminal_vector(toy_grid, toy_params)
     v, _, _ = iterate(
@@ -135,12 +150,12 @@ def toy_policy(grid, edits=()):
 def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2,
                 values=None):
     """Solve one step under ``first``, then under ``second`` with the same
-    cache; return both traces and the number of LU factorizations made.
-    The two solutions are appended to ``values`` when it is given."""
-    factorings = []
-    splu = mmqvi.linsolve.spla.splu
+    cache; return both traces and the number of splittings made.  The two
+    solutions are appended to ``values`` when it is given."""
+    splittings = []
+    splitting = mmqvi.linsolve.Splitting
     monkeypatch.setattr(
-        mmqvi.linsolve.spla, "splu", lambda a: factorings.append(1) or splu(a)
+        mmqvi.linsolve, "Splitting", lambda a: splittings.append(1) or splitting(a)
     )
     cache = SystemCache()
     v_next = terminal_vector(grid, p)
@@ -153,13 +168,15 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
         traces.append(trace)
         if values is not None:
             values.append(v)
-    return traces, len(factorings)
+    return traces, len(splittings)
 
 
-def fresh_solution(grid, p, st, policy):
-    """One fresh LU solve of the step under ``policy`` from the terminal level."""
+def assert_matches_lu(grid, p, st, policy, v):
+    """``v`` solves the step under ``policy`` from the terminal level as a
+    sparse-LU solve does, within the named tolerance."""
     system = assemble_system(grid, p, st, policy, terminal_vector(grid, p))
-    return solve(system.matrix, system.rhs).solution
+    exact = solve(system.matrix, system.rhs).solution
+    assert split_match_ratio(v, exact, system.rhs) <= SPLIT_MATCH_FACTOR
 
 
 def test_inactive_impulse_direction_shares_the_factorization(
@@ -170,10 +187,10 @@ def test_inactive_impulse_direction_shares_the_factorization(
     second = toy_policy(toy_grid, [("z", toy_grid.flatten(0, 1), -1)])
     assert not first.equals(second)
     assert first.matrix_key() == second.matrix_key()
-    (t1, t2), factorings = solve_twice(
+    (t1, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch
     )
-    assert factorings == 1
+    assert splittings == 1
     assert t1.reused == [False] and t2.reused == [True]
     assert t2.reports[0] is t1.reports[0]
 
@@ -186,77 +203,35 @@ def test_inactive_impulse_direction_shares_the_factorization(
     ids=["la", "lb", "d", "active-z"],
 )
 def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit):
-    # A one-row change is within the rank cap (floor(sqrt(9)) = 3 rows), so
-    # the cached LU is corrected instead of refactored.
+    # A one-row change of A(P) assembles, verifies and splits it anew.
     first = toy_policy(toy_grid)
     second = toy_policy(toy_grid, [edit])
     assert first.matrix_key() != second.matrix_key()
     values = []
-    (_, t2), factorings = solve_twice(
+    (_, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
     )
-    assert factorings == 1
-    assert t2.routes == ["updated"] and t2.ranks == [1]
-    fresh = fresh_solution(toy_grid, toy_params, toy_stencils, second)
-    atol = 1e-12 * max(1.0, np.abs(fresh).max())
-    np.testing.assert_allclose(values[1], fresh, rtol=0, atol=atol)
-
-
-def test_changes_beyond_the_rank_cap_refactor(
-    toy_grid, toy_params, toy_stencils, monkeypatch
-):
-    first = toy_policy(toy_grid)
-    # four changed rows exceed floor(sqrt(9)) = 3
-    second = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)])
-    assert Policy.changed_rows(first.matrix_key(), second.matrix_key()).size == 4
-    values = []
-    (_, t2), factorings = solve_twice(
-        toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
-    )
-    assert factorings == 2
-    assert t2.routes == ["fresh"] and t2.ranks == [0]
-    fresh = fresh_solution(toy_grid, toy_params, toy_stencils, second)
-    assert np.array_equal(values[1], fresh)
+    assert splittings == 2
+    assert t2.routes == ["fresh"] and t2.fallbacks == 0
+    assert t2.sweeps[0] % mmqvi.linsolve.CHECK_EVERY == 0
+    assert_matches_lu(toy_grid, toy_params, toy_stencils, second, values[1])
 
 
 def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypatch):
     first = toy_policy(toy_grid)
     # node 7 (alpha 1, q 1) impulses down into node 4, which impulses up
     second = toy_policy(toy_grid, [("d", 7, 1), ("z", 7, -1)])
-    assert Policy.changed_rows(first.matrix_key(), second.matrix_key()).size == 1
     cache = SystemCache()
     v_next = terminal_vector(toy_grid, toy_params)
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: first)
     iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+    split = cache.split
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: second)
     with pytest.raises(VerificationError) as exc_info:
         iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
     assert not exc_info.value.report.path_ok
-    # the changed row failed verification before the cached factors changed
-    assert cache.key == first.matrix_key() and cache.factors.rank == 0
-
-
-def test_a_refactor_releases_the_old_lu_before_assembling(
-    toy_grid, toy_params, toy_stencils, monkeypatch
-):
-    events = []
-    assemble = mmqvi.scheme.assemble_system
-    monkeypatch.setattr(mmqvi.linsolve, "release_heap", lambda: events.append("release"))
-    monkeypatch.setattr(
-        mmqvi.scheme, "assemble_system",
-        lambda *a: events.append(("assemble", len(a))) or assemble(*a),
-    )
-    first = toy_policy(toy_grid)
-    second = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)])
-    solve_twice(toy_grid, toy_params, toy_stencils, first, second, monkeypatch)
-    # the first solve has no LU to release; the refactor releases it first
-    assert events == [("assemble", 5), "release", ("assemble", 5)]
-    events.clear()
-    third = toy_policy(toy_grid, [("la", node, 0) for node in (3, 5, 6, 7)]
-                       + [("lb", 3, 0)])
-    solve_twice(toy_grid, toy_params, toy_stencils, second, third, monkeypatch)
-    # an update assembles its changed rows alone and releases nothing
-    assert events == [("assemble", 5), ("assemble", 6)]
+    # the changed policy failed verification before the cache entry changed
+    assert cache.key == first.matrix_key() and cache.split is split
 
 
 def test_cache_entries_hold_only_for_their_problem_and_checks(
@@ -264,11 +239,11 @@ def test_cache_entries_hold_only_for_their_problem_and_checks(
 ):
     pol = toy_policy(toy_grid)
     # an unverified entry is not reused by a verifying solve
-    (_, t2), factorings = solve_twice(
+    (_, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch,
         cfgs=(PiterConfig(verification="off"), PiterConfig()),
     )
-    assert factorings == 2 and t2.reused == [False] and len(t2.reports) == 1
+    assert splittings == 2 and t2.reused == [False] and len(t2.reports) == 1
     # an entry built for other stencils is not reused (improve_policy still
     # returns pol)
     cache = SystemCache()
@@ -300,28 +275,18 @@ def test_verifier_accepts_toy_systems(toy_grid, toy_params, toy_stencils):
     assert report.min_interior_margin >= 1.0 - 1e-10
 
 
-def test_verifier_on_row_blocks_names_nodes(grid6, params6, stencils6):
+def test_verifier_names_the_failing_node(grid6, params6, stencils6):
     v_next = terminal_vector(grid6, params6)
     m = grid6.n_nodes
     pol = apply_caps(grid6, np.ones(m), np.ones(m), np.ones(m), np.zeros(m))
-    full = verify_theorem_conditions(
-        grid6, pol, assemble_system(grid6, params6, stencils6, pol, v_next)
-    )
-    nodes = np.arange(0, m, 7)
-    block = verify_theorem_conditions(
-        grid6, pol, assemble_system(grid6, params6, stencils6, pol, v_next, nodes)
-    )
-    assert block.sound and full.sound
-    # a block's margins are taken over its own rows only
-    assert block.min_interior_margin >= full.min_interior_margin
-    assert block.min_boundary_margin >= full.min_boundary_margin
-    # a failing row is reported by its node, not by its position in the block
-    system = assemble_system(grid6, params6, stencils6, pol, v_next, nodes[5:8])
+    system = assemble_system(grid6, params6, stencils6, pol, v_next)
+    assert verify_theorem_conditions(grid6, pol, system).sound
+    node = 42
     system.matrix = system.matrix.tolil()
-    system.matrix[1, nodes[6]] = -1.0
+    system.matrix[node, node] = -1.0
     system.matrix = system.matrix.tocsr()
     report = verify_theorem_conditions(grid6, pol, system)
-    assert report.hard_failures[0] == f"nonpositive diagonal at row {nodes[6]}"
+    assert report.hard_failures[0] == f"nonpositive diagonal at row {node}"
 
 
 def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):

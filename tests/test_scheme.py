@@ -191,40 +191,6 @@ def test_assemble_rhs_is_the_assembled_right_side(toy_grid, toy_params, toy_sten
 # --------------------------------------------------------------- residuals
 
 
-def test_row_blocks_match_the_full_system(grid6, params6, stencils6):
-    rng = np.random.default_rng(3)
-    m = grid6.n_nodes
-    pol = apply_caps(grid6, rng.integers(0, 2, m), rng.integers(0, 2, m),
-                     np.where(grid6.q_of_node > 0, -1, 1), rng.integers(0, 2, m))
-    v_next = terminal_vector(grid6, params6)
-    full = assemble_system(grid6, params6, stencils6, pol, v_next)
-    assert np.array_equal(full.nodes, np.arange(m))
-    nodes = np.sort(rng.choice(m, size=40, replace=False))
-    block = assemble_system(grid6, params6, stencils6, pol, v_next, nodes)
-    assert block.matrix.shape == (40, m)
-    assert (block.matrix != full.matrix[nodes]).nnz == 0
-    np.testing.assert_array_equal(block.rhs, full.rhs[nodes])
-    np.testing.assert_array_equal(block.impulse_mask, full.impulse_mask[nodes])
-    np.testing.assert_array_equal(block.boundary_rows, full.boundary_rows[nodes])
-    empty = assemble_system(grid6, params6, stencils6, pol, v_next, nodes[:0])
-    assert empty.matrix.shape == (0, m)
-
-
-def test_changed_rows_compare_matrix_keys(toy_grid):
-    pol = all_quotes_policy(toy_grid)
-    m = toy_grid.n_nodes
-    d = np.zeros(m, dtype=np.int8)
-    d[4] = 1
-    # node 4 turns into an impulse, and the inactive z of node 0 flips
-    z = np.ones(m, dtype=np.int8)
-    z[0] = -1
-    other = apply_caps(toy_grid, pol.la, pol.lb, z, d)
-    np.testing.assert_array_equal(
-        Policy.changed_rows(pol.matrix_key(), other.matrix_key()), [4]
-    )
-    assert Policy.changed_rows(pol.matrix_key(), pol.matrix_key()).size == 0
-
-
 def test_residual_zero_on_constants_when_rewards_vanish(no_profit_params):
     p = no_profit_params
     grid = build_grid(p, GridSpec(1, 5, 1.0, 1))

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+import mmqvi.linsolve
+import mmqvi.policy_iteration
+from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from mmqvi import (
     ExplicitInstabilityError,
     GridSpec,
     PiterConfig,
+    PolicyIterationError,
+    SolveError,
     StabilityEnvelopeError,
+    VerificationError,
+    apply_caps,
     assemble_system,
     build_grid,
     build_stencils,
@@ -61,29 +68,18 @@ def test_reused_factorizations_reproduce_fresh_solves(params6):
     sol = solve_backward(params6, spec)
     grid = sol.grid
     st = build_stencils(grid, params6, "clamp")
-    levels = {e["level"]: e for e in sol.metadata["per_level"]}
     for n, policy in enumerate(sol.policies):
         system = assemble_system(grid, params6, st, policy, sol.surfaces[n + 1].values)
         fresh = solve(system.matrix, system.rhs).solution
-        if levels[n]["max_update_rank"] == 0:
-            # every solve of the level used a plain LU, fresh or reused
-            assert np.array_equal(fresh, sol.surfaces[n].values), f"level {n}"
-        else:
-            # A low-rank correction rounds differently from a fresh LU.  The
-            # largest deviation measured is 5.2e-15 here and 1.1e-14 on the
-            # 909-node reference grid, relative to max(1, max|v|); the bound
-            # leaves about 100x headroom on both.
-            scale = max(1.0, float(np.max(np.abs(fresh))))
-            err = float(np.max(np.abs(fresh - sol.surfaces[n].values)))
-            assert err <= 1e-12 * scale, f"level {n}: {err:.3e}"
+        ratio = split_match_ratio(sol.surfaces[n].values, fresh, system.rhs)
+        assert ratio <= SPLIT_MATCH_FACTOR, f"level {n}: {ratio:.3g}"
 
     levels = sol.metadata["per_level"]
-    reused = sum(e["reused_solves"] for e in levels)
-    updated = sum(e["updated_solves"] for e in levels)
-    assert reused > 0 and updated > 0
-    assert sum(e["factorizations"] for e in levels) + updated + reused == sum(
-        e["iterations"] for e in levels
-    )
+    assert sum(e["reused_solves"] for e in levels) > 0
+    assert sum(e["fallbacks"] for e in levels) == 0
+    # every solve sweeps, in whole check intervals
+    assert all(e["sweeps"] >= e["iterations"] for e in levels)
+    assert all(e["sweeps"] % mmqvi.linsolve.CHECK_EVERY == 0 for e in levels)
     for e in levels:
         assert e["min_interior_margin"] >= 1.0 - 1e-10
         assert e["min_boundary_margin"] > 0.0
@@ -91,6 +87,38 @@ def test_reused_factorizations_reproduce_fresh_solves(params6):
     unverified = solve_backward(params6, spec, piter=PiterConfig(verification="off"))
     for e in unverified.metadata["per_level"]:
         assert e["min_interior_margin"] is None and e["min_boundary_margin"] is None
+
+
+def test_policy_iteration_failures_name_the_level(fast_params, fast_spec):
+    with pytest.raises(PolicyIterationError, match=r"^time level 49: no convergence") as exc_info:
+        solve_backward(fast_params, fast_spec, piter=PiterConfig(max_iter=1))
+    assert exc_info.value.trace.iterations == 1
+
+
+def test_verification_failures_name_the_level(toy_params, monkeypatch):
+    spec = GridSpec(3, 3, toy_params.alpha_cap, toy_params.q_bar)
+    grid = build_grid(toy_params, spec)
+    m = grid.n_nodes
+    # two inventory levels impulsing into each other: no chain ends
+    z = np.where(grid.q_of_node > 0, -1, 1)
+    cycle = apply_caps(grid, np.zeros(m), np.zeros(m), z, grid.q_of_node >= 0)
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: cycle)
+    with pytest.raises(VerificationError, match=r"^time level 2: no impulse chain") as exc_info:
+        solve_backward(toy_params, spec)
+    assert not exc_info.value.report.path_ok
+
+
+def test_solve_failures_name_the_level_and_row(toy_params):
+    # no solve meets a contract this tight: the sweeps run out and the LU
+    # fallback misses, naming the row of its largest residual
+    spec = GridSpec(3, 3, toy_params.alpha_cap, toy_params.q_bar)
+    pattern = r"^time level \d: direct solve missed .* at row \d+$"
+    with pytest.raises(SolveError, match=pattern) as exc_info:
+        solve_backward(toy_params, spec, piter=PiterConfig(solver_tol=1e-300))
+    err = exc_info.value
+    assert type(err) is SolveError
+    assert err.best_iterate is not None and err.residual_norm > 0.0
+    assert str(err).endswith(f"at row {err.row}")
 
 
 def test_solution_stays_inside_the_stability_envelope(fast_sol, fast_params):
