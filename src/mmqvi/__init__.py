@@ -8,7 +8,7 @@ finite-difference step with policy iteration; a Monte Carlo module replays
 the computed policy on simulated paths to validate the value surface.
 """
 
-from .grid import Grid, GridSpec, ShiftStencil, StencilSet, build_grid, build_stencils
+from .grid import Grid, GridSpec, StencilSet, build_grid, build_stencils
 from .linsolve import SingularSystemError, SolveError, SolveReport, solve
 from .model import (
     ModelParams,
@@ -37,7 +37,8 @@ from .policy_iteration import (
     verify_theorem_conditions,
 )
 from .presets import default_grid_spec, default_params
-from .scheme import Policy, SparseSystem, apply_caps, assemble_rhs, assemble_system, residual
+from .scheme import (Policy, SparseSystem, apply_caps, assemble_rhs, assemble_system,
+                     residual, row_types)
 from .solver import (
     ExplicitInstabilityError,
     RefinementResult,
@@ -65,7 +66,6 @@ __all__ = [
     "Policy",
     "PolicyIterationError",
     "RefinementResult",
-    "ShiftStencil",
     "SimulationError",
     "SingularSystemError",
     "Solution",
@@ -93,6 +93,7 @@ __all__ = [
     "refine_spec",
     "refinement_table",
     "residual",
+    "row_types",
     "running_reward",
     "simulate_path",
     "solve",

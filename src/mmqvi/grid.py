@@ -1,4 +1,4 @@
-"""Uniform space-time lattice and signal-shift interpolation stencils.
+"""Uniform space-time lattice and the signal-shift maps.
 
 The reduced value v(t, alpha, q) lives on a uniform grid: N time steps over
 [0, T], an odd number of alpha nodes symmetric about 0 spanning
@@ -7,14 +7,14 @@ flattened q-major (inventory is the slow index) so the tridiagonal alpha
 coupling stays contiguous.
 
 Jump terms evaluate v at alpha +/- gamma, which generally falls between
-nodes.  A shift stencil writes that evaluation as a two-point convex
-combination of lattice values, degenerating to a pure index shift when
-gamma is an exact multiple of the alpha spacing.  Shift targets beyond the
-truncation cap are handled by one of two modes:
+nodes.  A shift map writes that evaluation, for every alpha node at once, as
+a two-point convex combination of lattice values, degenerating to a pure
+index shift when gamma is an exact multiple of the alpha spacing.  Shift
+targets beyond the truncation cap are handled by one of two modes:
 
 * ``clamp``  - evaluate at the cap node (keeps all weights nonnegative),
 * ``paper``  - linear extrapolation from the two outermost nodes (exact on
-  linear surfaces but introduces one negative weight per affected stencil).
+  linear surfaces but introduces one negative weight per affected row).
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class Grid:
         self.alpha_of_node = self.alphas[ii.ravel()]
         self.q_of_node = self.qs[jj.ravel()]
 
-    def flatten(self, ii, jj):
-        """Node index of (alpha index ii, inventory index jj); broadcasts."""
-        return jj * self.n_alpha + ii
-
-    def unflatten(self, m):
-        """Inverse of flatten: node index -> (alpha index, inventory index)."""
-        return m % self.n_alpha, m // self.n_alpha
-
     def nearest_alpha_index(self, alpha: float) -> int:
         """Index of the alpha node closest to ``alpha`` (clipped to the grid)."""
         i = int(round((alpha - self.alphas[0]) / self.d_alpha))
@@ -122,142 +114,59 @@ def build_grid(p: ModelParams, spec: GridSpec) -> Grid:
     return Grid(times=times, alphas=alphas, qs=qs, d_t=d_t, d_alpha=d_alpha)
 
 
-@dataclass(frozen=True)
-class ShiftStencil:
-    """Evaluation of v(alpha_i +/- gamma, .) as lattice weights at fixed q.
-
-    ``indices``/``weights`` give the linear functional; weights always sum to
-    one.  ``boundary`` marks stencils whose shift target left the lattice and
-    therefore received clamp or extrapolation treatment.
-    """
-
-    alpha_index: int
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-    target: float
-    boundary: bool
-
-    def apply(self, values_along_alpha: np.ndarray) -> float:
-        out = 0.0
-        for idx, w in zip(self.indices, self.weights):
-            out += w * values_along_alpha[idx]
-        return out
-
-
-def _resolve(raw: list[tuple[int, float]], i_max: int, mode: str) -> tuple[list[tuple[int, float]], bool]:
-    """Map raw (possibly off-lattice) stencil points into [0, i_max]."""
-    boundary = False
-    resolved: dict[int, float] = {}
-
-    def add(idx: int, w: float) -> None:
-        resolved[idx] = resolved.get(idx, 0.0) + w
-
-    for idx, w in raw:
-        if 0 <= idx <= i_max:
-            add(idx, w)
-            continue
-        boundary = True
-        if mode == "clamp":
-            add(min(max(idx, 0), i_max), w)
-        elif idx > i_max:
-            # linear extrapolation from the two top nodes
-            e = idx - i_max
-            add(i_max, w * (1.0 + e))
-            add(i_max - 1, -w * e)
-        else:
-            e = -idx
-            add(0, w * (1.0 + e))
-            add(1, -w * e)
-    items = sorted(resolved.items())
-    return items, boundary
-
-
-def _stencil(grid: Grid, gamma: float, i: int, direction: int, mode: str) -> ShiftStencil:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    m = gamma / grid.d_alpha
-    m_round = round(m)
-    if abs(m - m_round) < EXACT_SHIFT_TOL:
-        raw = [(i + direction * m_round, 1.0)]
-    else:
-        fl = math.floor(m)
-        frac = m - fl
-        raw = [(i + direction * fl, 1.0 - frac), (i + direction * (fl + 1), frac)]
-    items, boundary = _resolve(raw, grid.n_alpha - 1, mode)
-    return ShiftStencil(
-        alpha_index=i,
-        indices=tuple(idx for idx, _ in items),
-        weights=tuple(w for _, w in items),
-        target=grid.alphas[i] + direction * gamma,
-        boundary=boundary,
-    )
-
-
-def shift_stencil_up(grid: Grid, p: ModelParams, i: int, mode: str = "clamp") -> ShiftStencil:
-    """Stencil for v(alpha_i + gamma_a, .)."""
-    return _stencil(grid, p.gamma_a, i, +1, mode)
-
-
-def shift_stencil_down(grid: Grid, p: ModelParams, i: int, mode: str = "clamp") -> ShiftStencil:
-    """Stencil for v(alpha_i - gamma_b, .)."""
-    return _stencil(grid, p.gamma_b, i, -1, mode)
-
-
 @dataclass(eq=False)
 class StencilSet:
-    """All shift stencils of a grid, precomputed once, plus packed forms.
+    """The shift maps of a grid, built once.
 
-    ``up_matrix``/``down_matrix`` apply the whole family at once to a vector
-    indexed by alpha; ``*_idx``/``*_w`` are the same data padded to fixed
-    width for vectorized sparse assembly.
+    ``up``/``down`` are n_alpha x n_alpha CSR maps: row i holds the lattice
+    weights of v(alpha_i + gamma_a) and v(alpha_i - gamma_b) at fixed q, and
+    every row sums to one.  ``boundary`` marks the alpha nodes where either
+    shift target left the lattice and took clamp or extrapolation treatment.
     """
 
     mode: str
-    up: list[ShiftStencil]
-    down: list[ShiftStencil]
-    up_idx: np.ndarray
-    up_w: np.ndarray
-    up_boundary: np.ndarray
-    down_idx: np.ndarray
-    down_w: np.ndarray
-    down_boundary: np.ndarray
-    up_matrix: sp.csr_matrix
-    down_matrix: sp.csr_matrix
+    up: sp.csr_matrix
+    down: sp.csr_matrix
+    boundary: np.ndarray
 
 
-def _pack(stencils: list[ShiftStencil], n_alpha: int):
-    width = max(len(s.indices) for s in stencils)
-    idx = np.zeros((n_alpha, width), dtype=np.int64)
-    w = np.zeros((n_alpha, width), dtype=float)
-    boundary = np.zeros(n_alpha, dtype=bool)
-    for s in stencils:
-        idx[s.alpha_index, : len(s.indices)] = s.indices
-        w[s.alpha_index, : len(s.weights)] = s.weights
-        boundary[s.alpha_index] = s.boundary
-    rows = np.repeat(np.arange(n_alpha), width)
-    matrix = sp.csr_matrix(
-        (w.ravel(), (rows, idx.ravel())), shape=(n_alpha, n_alpha)
-    )
+def _shift_map(grid: Grid, gamma: float, direction: int, mode: str):
+    """Map of v(alpha_i + direction*gamma) onto lattice values, and the rows
+    whose target left the lattice.
+
+    A shift within EXACT_SHIFT_TOL of a multiple of d_alpha is a pure index
+    shift, any other a two-point linear interpolation.  Off-lattice points
+    move to the cap node (clamp) or extrapolate linearly from the two
+    outermost nodes (paper); weights landing on one node add up.
+    """
+    n = grid.n_alpha
+    rows = np.arange(n)
+    m = gamma / grid.d_alpha
+    if abs(m - round(m)) < EXACT_SHIFT_TOL:
+        raw = (rows + direction * round(m))[:, None]
+        w = np.ones((n, 1))
+    else:
+        fl = math.floor(m)
+        raw = rows[:, None] + direction * np.array([fl, fl + 1])
+        w = np.broadcast_to([1.0 - (m - fl), m - fl], raw.shape)
+    near = np.clip(raw, 0, n - 1)
+    cols = near
+    if mode == "paper":
+        # v(i_max + e) ~ (1 + e) v(i_max) - e v(i_max - 1), likewise below 0
+        e = np.abs(raw - near)
+        cols = np.stack([near, np.where(raw > near, n - 2, 1)], axis=2)
+        w = np.stack([w * (1.0 + e), -w * e], axis=2)
+    matrix = sp.coo_matrix(
+        (np.ravel(w), (np.repeat(rows, np.size(w) // n), np.ravel(cols))), shape=(n, n)
+    ).tocsr()
     matrix.eliminate_zeros()
-    return idx, w, boundary, matrix
+    return matrix, (raw != near).any(axis=1)
 
 
 def build_stencils(grid: Grid, p: ModelParams, mode: str = "clamp") -> StencilSet:
-    """Precompute up/down shift stencils for every alpha node."""
-    up = [shift_stencil_up(grid, p, i, mode) for i in range(grid.n_alpha)]
-    down = [shift_stencil_down(grid, p, i, mode) for i in range(grid.n_alpha)]
-    up_idx, up_w, up_boundary, up_matrix = _pack(up, grid.n_alpha)
-    down_idx, down_w, down_boundary, down_matrix = _pack(down, grid.n_alpha)
-    return StencilSet(
-        mode=mode,
-        up=up,
-        down=down,
-        up_idx=up_idx,
-        up_w=up_w,
-        up_boundary=up_boundary,
-        down_idx=down_idx,
-        down_w=down_w,
-        down_boundary=down_boundary,
-        up_matrix=up_matrix,
-        down_matrix=down_matrix,
-    )
+    """Build the up/down shift maps of every alpha node."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    up, up_boundary = _shift_map(grid, p.gamma_a, +1, mode)
+    down, down_boundary = _shift_map(grid, p.gamma_b, -1, mode)
+    return StencilSet(mode=mode, up=up, down=down, boundary=up_boundary | down_boundary)

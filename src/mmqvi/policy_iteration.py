@@ -10,6 +10,12 @@ is a subsolution of the improved policy's system.  The sweeps, and with them
 the iterates, are then entrywise nondecreasing, and the iteration converges
 in finitely many steps; monotonicity is asserted at verification level
 ``per-step`` and above.
+
+The Z-matrix and dominance conditions are local to a row (Azimzadeh &
+Forsyth 2016), and every row of A(P) is one of the grid's row types.  So
+they are checked once per grid, over all row types, and each policy's
+report gathers its rows' results; per policy only the impulse-chain walk
+runs.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
@@ -25,6 +32,10 @@ from .scheme import Policy, SparseSystem
 
 # Relative stopping metric falls back to absolute differences below this.
 RELATIVE_FLOOR = 1e-12
+# Verifier tolerances: off-diagonal entries above Z_TOL count as positive,
+# and interior rows must keep a dominance margin of at least 1 - MARGIN_TOL.
+Z_TOL = 1e-12
+MARGIN_TOL = 1e-10
 
 VERIFICATION_LEVELS = ("off", "per-step", "exhaustive")
 
@@ -69,7 +80,7 @@ class PiterConfig:
 class PiterTrace:
     """Per-iteration diagnostics: policy digests, stopping metrics, the
     smallest entrywise increment of each new iterate (negative = decrease),
-    the route of each solve (``fresh``: A(P) assembled, verified and split;
+    the route of each solve (``fresh``: A(P) selected, verified and split;
     ``reused``: the cached splitting and report), the splitting sweeps of
     each solve, the number of solves that fell back to sparse LU, and the
     verification report of each solved system (none at verification off).
@@ -87,11 +98,6 @@ class PiterTrace:
     @property
     def iterations(self) -> int:
         return len(self.stop_metrics)
-
-    @property
-    def reused(self) -> list[bool]:
-        """Whether each solve reused the cached splitting."""
-        return [route == "reused" for route in self.routes]
 
 
 @dataclass
@@ -126,43 +132,59 @@ class VerificationReport:
 
 @dataclass(eq=False)
 class SystemCache:
-    """Splitting and verification report of the last solved A(P).
+    """Row types of one problem and the splitting of the last solved A(P).
 
-    Holds one entry, for the grid, model and stencils (``owner``) it was
-    assembled for: ``key`` = ``P.matrix_key()``, ``report`` (None when
-    unverified) and ``split``, the ``linsolve.Splitting`` of A(P).
+    ``owner`` is the (grid, model, stencils) the cache was built for;
+    ``rows`` = ``scheme.row_types(*owner)`` and ``checks`` its per-row
+    conditions (``_row_checks``) are computed once per owner.  The one entry
+    is ``key`` = ``P.matrix_key()``, ``report`` (None when unverified) and
+    ``split``, the ``linsolve.Splitting`` of A(P).
     """
 
     key: bytes | None = None
-    owner: tuple | None = None
+    owner: tuple = (None, None, None)
     report: "VerificationReport | None" = None
     split: linsolve.Splitting | None = None
+    rows: sp.csr_matrix | None = None
+    checks: np.ndarray | None = None
+
+    def _owned_by(self, grid, p, st) -> bool:
+        return all(a is b for a, b in zip(self.owner, (grid, p, st)))
 
     def holds(self, grid, p, st, key: bytes, verify: bool) -> bool:
         """Whether the entry splits A(P) for ``key`` on this problem and,
         when ``verify`` is set, was verified."""
         return (
             self.key == key
-            and all(a is b for a, b in zip(self.owner, (grid, p, st)))
+            and self._owned_by(grid, p, st)
             and (self.report is not None or not verify)
         )
 
     def refresh(self, grid, p, st, policy: Policy, v_next, key: bytes,
                 verify: bool) -> None:
-        """Assemble, verify and split A(P) for ``key``.  The entry changes
-        only when all three succeed."""
-        system = scheme.assemble_system(grid, p, st, policy, v_next)
-        report = (
-            _verified(verify_theorem_conditions(grid, policy, system)) if verify else None
-        )
-        split = linsolve.Splitting(system.matrix)
-        self.key, self.owner, self.report, self.split = key, (grid, p, st), report, split
+        """Select, verify and split A(P) for ``key``.  A new owner rebuilds
+        the row types and drops the entry; otherwise the entry changes only
+        when all three succeed."""
+        if not self._owned_by(grid, p, st):
+            rows = scheme.row_types(grid, p, st)
+            self.key = self.report = self.split = None
+            self.owner, self.rows, self.checks = (grid, p, st), rows, _row_checks(rows)
+        system = scheme.select_system(grid, p, st, self.rows, policy, v_next)
+        report = None
+        if verify:
+            checks = self.checks[:, scheme.policy_rows(grid, policy)]
+            report = _verified(
+                _report(system, checks, _check_impulse_paths(grid, policy))
+            )
+        self.key, self.report, self.split = key, report, linsolve.Splitting(system.matrix)
 
 
 def improve_policy(
     grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray
 ) -> Policy:
-    """Node-wise argmax policy of the step residual at the iterate ``v``."""
+    """Node-wise argmax policy of the step residual at the iterate ``v``.
+
+    Admissible by construction, so it is not validated."""
     _, policy = scheme.residual(grid, p, st, v, v_next)
     return policy
 
@@ -171,8 +193,8 @@ def verify_theorem_conditions(
     grid: Grid,
     policy: Policy,
     system: SparseSystem,
-    z_tol: float = 1e-12,
-    margin_tol: float = 1e-10,
+    z_tol: float = Z_TOL,
+    margin_tol: float = MARGIN_TOL,
 ) -> VerificationReport:
     """Check the matrix and impulse-graph conditions behind convergence.
 
@@ -182,13 +204,40 @@ def verify_theorem_conditions(
     sum; and the z-directed chain from every d = 1 node must reach a d = 0
     node within 2*q_bar moves.  In paper extrapolation mode, Z/dominance
     violations confined to extrapolated rows are reported as findings rather
-    than failures.
+    than failures.  The row conditions are read off ``system.matrix`` itself.
     """
-    a = system.matrix.tocoo()
-    on_diag = a.col == a.row
-    diag = system.matrix.diagonal()
-    off = ~on_diag
+    checks = _row_checks(system.matrix, z_tol)
+    return _report(system, checks, _check_impulse_paths(grid, policy), z_tol, margin_tol)
 
+
+def _row_checks(matrix, z_tol: float = Z_TOL) -> np.ndarray:
+    """Per-row (diagonal, positive off-diagonal flag, dominance margin, row
+    sum) of ``matrix`` as a 4 x n_rows array.
+
+    The diagonal of row r is its column r mod n_cols, so a stack of square
+    row blocks such as ``scheme.row_types`` is checked row by row as well.
+    """
+    a = matrix.tocoo()
+    n = a.shape[0]
+    on_diag = a.col == a.row % a.shape[1]
+    off = ~on_diag
+    diag = np.bincount(a.row[on_diag], a.data[on_diag], minlength=n)
+    pos_off = np.bincount(a.row[off & (a.data > z_tol)], minlength=n) > 0
+    margin = diag - np.bincount(a.row[off], np.abs(a.data[off]), minlength=n)
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    return np.stack([diag, pos_off, margin, row_sums])
+
+
+def _report(
+    system: SparseSystem,
+    checks: np.ndarray,
+    path: tuple[bool, int | None],
+    z_tol: float = Z_TOL,
+    margin_tol: float = MARGIN_TOL,
+) -> VerificationReport:
+    """Verification report of ``system`` from the ``_row_checks`` of its
+    rows and the impulse-chain walk ``path``."""
+    diag, pos_off, margin, row_sums = checks
     findings: list[str] = []
     hard: list[str] = []
 
@@ -196,7 +245,7 @@ def verify_theorem_conditions(
     if not diag_positive:
         hard.append(f"nonpositive diagonal at row {int(np.argmin(diag))}")
 
-    pos_off_rows = np.unique(a.row[off & (a.data > z_tol)])
+    pos_off_rows = np.flatnonzero(pos_off)
     z_matrix_ok = pos_off_rows.size == 0
     if not z_matrix_ok:
         outside = np.setdiff1d(pos_off_rows, np.flatnonzero(system.boundary_rows))
@@ -207,10 +256,6 @@ def verify_theorem_conditions(
         else:
             where = outside[0] if outside.size else pos_off_rows[0]
             hard.append(f"positive off-diagonal entry on row {int(where)}")
-
-    abs_off = np.zeros(diag.size)
-    np.add.at(abs_off, a.row[off], np.abs(a.data[off]))
-    margin = diag - abs_off
 
     interior = ~system.impulse_mask & ~system.boundary_rows
     boundary = system.boundary_rows
@@ -232,7 +277,6 @@ def verify_theorem_conditions(
         else:
             hard.append(msg)
 
-    row_sums = np.asarray(system.matrix.sum(axis=1)).ravel()
     imp = system.impulse_mask
     impulse_rows_ok = True
     if imp.any():
@@ -243,7 +287,7 @@ def verify_theorem_conditions(
         if not impulse_rows_ok:
             hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")
 
-    path_ok, failing_node = _check_impulse_paths(grid, policy)
+    path_ok, failing_node = path
     if not path_ok:
         hard.append(
             f"no impulse chain from d=1 node {failing_node} reaches a continuation node"
@@ -322,11 +366,11 @@ def iterate(
 
     A(P) depends on the policy alone.  A solve whose policy has the matrix
     key of the entry in ``cache`` reuses its report and splitting and builds
-    only the right side; any other assembles, verifies and splits A(P).
+    only the right side; any other selects, verifies and splits A(P).
     Each solve sweeps the splitting from the current iterate; a solve whose
     sweeps miss the residual contract within ``linsolve.SWEEP_BUDGET`` falls
-    back to sparse LU.  Pass one cache to successive calls to carry the
-    splitting across time steps.
+    back to sparse LU.  Pass one cache to successive calls to carry the row
+    types and the splitting across time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)

@@ -4,17 +4,19 @@ At each node the value either continues (quoting decision ``la``, ``lb`` on
 the ask/bid side) or jumps by an impulse market order (direction ``z``,
 selected by ``d = 1``).  The continuation operator upwinds the signal drift
 -k*alpha, takes a central second difference in alpha (zeroed on the cap
-nodes), and moves jump terms through the precomputed shift stencils; fills
-move inventory by one unit.  An impulse row encodes v(q) = v(q +/- 1) -
-upsilon exactly.
+nodes), and moves jump terms through the grid's shift maps; fills move
+inventory by one unit.  An impulse row encodes v(q) = v(q +/- 1) - upsilon
+exactly.
 
-The assembled linear system for a policy P is
+The linear system for a policy P is
 
     [(I - D) (I - dt*L(w)) + D (I - B(z))] v^n = (I - D)(v^{n+1} + dt*f) - D*upsilon
 
-with D the diagonal 0/1 impulse selector.  ``residual`` evaluates the
-node-wise max over all admissible choices of the unscaled step residual and
-doubles as the policy-improvement oracle.
+with D the diagonal 0/1 impulse selector.  Each row of A(P) is fixed by its
+node and that node's choice, so ``row_types`` builds every candidate row
+once per grid and A(P) is the selection of one row per node.  ``residual``
+evaluates the node-wise max over all admissible choices of the unscaled step
+residual and doubles as the policy-improvement oracle.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def _branches(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next:
     v2d = v.reshape(n_q, n_alpha)
     v_next2d = v_next.reshape(n_q, n_alpha)
 
-    up_all = (st.up_matrix @ v2d.T).T
-    dn_all = (st.down_matrix @ v2d.T).T
+    up_all = (st.up @ v2d.T).T
+    dn_all = (st.down @ v2d.T).T
 
     jump_up0 = p.lambda_a * up_all
     jump_up1 = np.full_like(up_all, -np.inf)
@@ -224,120 +226,6 @@ def residual(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: 
     return res.ravel(), policy
 
 
-def residual_at_node(
-    grid: Grid,
-    p: ModelParams,
-    st: StencilSet,
-    ii: int,
-    jj: int,
-    r: float,
-    v: np.ndarray,
-    v_next: np.ndarray,
-) -> float:
-    """Scheme residual at one node with the center value replaced by ``r``.
-
-    Scalar transliteration of the node-wise maximization, used to probe the
-    monotonicity of the scheme in the off-center values.  ``v`` supplies the
-    off-center values at the current level, ``v_next`` the full next level.
-    """
-    n_alpha, n_q = grid.n_alpha, grid.n_q
-    v2d = v.reshape(n_q, n_alpha).copy()
-    v2d[jj, ii] = r
-    v_next_c = v_next.reshape(n_q, n_alpha)[jj, ii]
-    alpha = grid.alphas[ii]
-    q = float(grid.qs[jj])
-
-    interior = 0 < ii < n_alpha - 1
-    diff = 0.5 * p.rho**2 / grid.d_alpha**2 if interior else 0.0
-    lup = p.k * max(-alpha, 0.0) / grid.d_alpha + diff
-    ldn = p.k * max(alpha, 0.0) / grid.d_alpha + diff
-    dd = 0.0
-    if lup:
-        dd += lup * (v2d[jj, ii + 1] - r)
-    if ldn:
-        dd += ldn * (v2d[jj, ii - 1] - r)
-
-    best = -np.inf
-    for la in (0, 1):
-        if la and jj == 0:
-            continue
-        for lb in (0, 1):
-            if lb and jj == n_q - 1:
-                continue
-            jump = p.lambda_a * (st.up[ii].apply(v2d[jj - la]) - r)
-            jump += p.lambda_b * (st.down[ii].apply(v2d[jj + lb]) - r)
-            cont = (
-                (v_next_c - r) / grid.d_t
-                + dd
-                + jump
-                + running_reward(p, alpha, q, la, lb)
-            )
-            best = max(best, cont)
-    for z in (1, -1):
-        nbr = jj + z
-        if 0 <= nbr < n_q:
-            best = max(best, v2d[nbr, ii] - r - p.upsilon)
-    return best
-
-
-def continuation_row(
-    grid: Grid, p: ModelParams, st: StencilSet, ii: int, jj: int, la: int, lb: int
-):
-    """One row of I - dt*L(w) plus the reward part of its right side.
-
-    Returns (cols, vals, rhs_reward) where rhs_reward = dt * f(alpha, q, la,
-    lb); the full right side adds v^{n+1} at the node.  Raises if a quote bit
-    would move inventory past a cap.
-    """
-    if la not in (0, 1) or lb not in (0, 1):
-        raise ValueError(f"quote bits must be 0/1, got la={la!r} lb={lb!r}")
-    if la and jj == 0:
-        raise ValueError(f"la = 1 at q = {grid.qs[0]} would breach the inventory cap")
-    if lb and jj == grid.n_q - 1:
-        raise ValueError(f"lb = 1 at q = {grid.qs[-1]} would breach the inventory cap")
-
-    dt = grid.d_t
-    alpha = grid.alphas[ii]
-    interior = 0 < ii < grid.n_alpha - 1
-    diff = 0.5 * p.rho**2 / grid.d_alpha**2 if interior else 0.0
-    lup = p.k * max(-alpha, 0.0) / grid.d_alpha + diff
-    ldn = p.k * max(alpha, 0.0) / grid.d_alpha + diff
-
-    entries: dict[int, float] = {}
-
-    def add(col: int, val: float) -> None:
-        entries[col] = entries.get(col, 0.0) + val
-
-    add(grid.flatten(ii, jj), 1.0 + dt * (lup + ldn + p.lambda_a + p.lambda_b))
-    if lup:
-        add(grid.flatten(ii + 1, jj), -dt * lup)
-    if ldn:
-        add(grid.flatten(ii - 1, jj), -dt * ldn)
-    for idx, w in zip(st.up[ii].indices, st.up[ii].weights):
-        add(grid.flatten(idx, jj - la), -dt * p.lambda_a * w)
-    for idx, w in zip(st.down[ii].indices, st.down[ii].weights):
-        add(grid.flatten(idx, jj + lb), -dt * p.lambda_b * w)
-
-    cols = sorted(entries)
-    vals = [entries[c] for c in cols]
-    rhs_reward = dt * running_reward(p, alpha, float(grid.qs[jj]), la, lb)
-    return cols, vals, rhs_reward
-
-
-def impulse_row(grid: Grid, p: ModelParams, ii: int, jj: int, z: int):
-    """One row of I - B(z): v(q) - v(q +/- z) with right side -upsilon."""
-    if z not in (-1, 1):
-        raise ValueError(f"impulse direction must be -1 or +1, got {z!r}")
-    nbr = jj + z
-    if not 0 <= nbr < grid.n_q:
-        raise ValueError(
-            f"impulse z={z} at q={grid.qs[jj]} would leave the inventory band"
-        )
-    cols = [grid.flatten(ii, jj), grid.flatten(ii, nbr)]
-    vals = [1.0, -1.0]
-    return cols, vals, -p.upsilon
-
-
 def assemble_rhs(
     grid: Grid, p: ModelParams, policy: Policy, v_next: np.ndarray
 ) -> np.ndarray:
@@ -350,6 +238,62 @@ def assemble_rhs(
     )
     rhs[policy.d.astype(bool)] = -p.upsilon
     return rhs
+
+
+def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
+    """Every candidate row of A(P), stacked as six m x m blocks (m nodes).
+
+    Blocks 0-3 are the continuation rows of I - dt*L for (la, lb) = (0, 0),
+    (0, 1), (1, 0), (1, 1); blocks 4 and 5 the impulse rows of I - B(z) for
+    z = +1 and -1.  Row ``policy_rows(grid, P)[node]`` is the row of A(P) at
+    ``node``.  Rows whose choice would leave the inventory band are never
+    selected.
+    """
+    dt = grid.d_t
+    lup, ldn = _upwind_coeffs(grid, p)
+    tri = sp.diags(
+        [-dt * ldn[1:], 1.0 + dt * (lup + ldn + p.lambda_a + p.lambda_b), -dt * lup[:-1]],
+        [-1, 0, 1],
+        format="csr",
+    )
+    tri.eliminate_zeros()
+    # move[s] maps inventory index jj to jj + s
+    move = {s: sp.eye(grid.n_q, k=s, format="csr") for s in (-1, 0, 1)}
+    local = sp.kron(move[0], tri, format="csr")
+    # T first, then the up and down shifts: columns where they coincide sum
+    # in that order, as a row-by-row assembly of the same terms does
+    blocks = [
+        local
+        - dt * p.lambda_a * sp.kron(move[-la], st.up, format="csr")
+        - dt * p.lambda_b * sp.kron(move[lb], st.down, format="csr")
+        for la in (0, 1)
+        for lb in (0, 1)
+    ]
+    eye_alpha = sp.identity(grid.n_alpha, format="csr")
+    blocks += [sp.kron(move[0] - move[z], eye_alpha, format="csr") for z in (1, -1)]
+    return sp.vstack(blocks, format="csr")
+
+
+def policy_rows(grid: Grid, policy: Policy) -> np.ndarray:
+    """Index into ``row_types`` of the row that ``policy`` chooses at each node."""
+    block = np.where(policy.d == 1, 4 + (policy.z == -1), 2 * policy.la + policy.lb)
+    return block.astype(np.int64) * grid.n_nodes + np.arange(grid.n_nodes)
+
+
+def select_system(grid: Grid, p: ModelParams, st: StencilSet, rows: sp.csr_matrix,
+                  policy: Policy, v_next: np.ndarray) -> SparseSystem:
+    """A(P) and b(P) with A(P) selected from ``rows = row_types(grid, p, st)``.
+
+    Unlike ``assemble_system`` it does not validate ``policy``.
+    """
+    impulse = policy.d.astype(bool)
+    return SparseSystem(
+        matrix=rows[policy_rows(grid, policy)],
+        rhs=assemble_rhs(grid, p, policy, v_next),
+        impulse_mask=impulse,
+        boundary_rows=np.tile(st.boundary, grid.n_q) & ~impulse,
+        mode=st.mode,
+    )
 
 
 def assemble_system(
@@ -365,67 +309,4 @@ def assemble_system(
     alone.
     """
     policy.validate(grid)
-    m = grid.n_nodes
-    n_alpha = grid.n_alpha
-    dt = grid.d_t
-    nodes = np.arange(m)
-    ii = nodes % n_alpha
-    jj = nodes // n_alpha
-
-    lup, ldn = _upwind_coeffs(grid, p)
-    diag0 = 1.0 + dt * (lup + ldn + p.lambda_a + p.lambda_b)
-
-    rows = [nodes]
-    cols = [nodes]
-    data = [diag0[ii]]
-
-    keep = lup[ii] != 0
-    rows.append(nodes[keep])
-    cols.append(nodes[keep] + 1)
-    data.append(-dt * lup[ii[keep]])
-
-    keep = ldn[ii] != 0
-    rows.append(nodes[keep])
-    cols.append(nodes[keep] - 1)
-    data.append(-dt * ldn[ii[keep]])
-
-    la = policy.la.astype(np.int64)
-    lb = policy.lb.astype(np.int64)
-    for s in range(st.up_idx.shape[1]):
-        w = st.up_w[ii, s]
-        keep = w != 0
-        rows.append(nodes[keep])
-        cols.append((jj[keep] - la[keep]) * n_alpha + st.up_idx[ii[keep], s])
-        data.append(-dt * p.lambda_a * w[keep])
-    for s in range(st.down_idx.shape[1]):
-        w = st.down_w[ii, s]
-        keep = w != 0
-        rows.append(nodes[keep])
-        cols.append((jj[keep] + lb[keep]) * n_alpha + st.down_idx[ii[keep], s])
-        data.append(-dt * p.lambda_b * w[keep])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-
-    impulse = policy.d.astype(bool)
-    keep = ~impulse[rows]
-    rows, cols, data = rows[keep], cols[keep], data[keep]
-
-    imp_nodes = nodes[impulse]
-    imp_nbrs = imp_nodes + policy.z[imp_nodes].astype(np.int64) * n_alpha
-    rows = np.concatenate([rows, imp_nodes, imp_nodes])
-    cols = np.concatenate([cols, imp_nodes, imp_nbrs])
-    data = np.concatenate([data, np.ones(imp_nodes.size), -np.ones(imp_nodes.size)])
-
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
-    matrix.eliminate_zeros()
-
-    boundary = (st.up_boundary[ii] | st.down_boundary[ii]) & ~impulse
-    return SparseSystem(
-        matrix=matrix,
-        rhs=assemble_rhs(grid, p, policy, v_next),
-        impulse_mask=impulse,
-        boundary_rows=boundary,
-        mode=st.mode,
-    )
+    return select_system(grid, p, st, row_types(grid, p, st), policy, v_next)

@@ -8,7 +8,8 @@ Three model configurations recur across the suite:
 * a "fast" configuration (T = 1, alpha_cap = 30, q_bar = 2) whose solve takes
   well under a second, used wherever a realistic but cheap policy is needed;
 * a three-alpha-node, single-step "toy" sized so that exhaustive policy
-  enumeration is feasible.
+  enumeration is feasible; ``toy_enumeration`` holds the dense system of
+  every admissible toy policy, built once per test module that uses it.
 """
 
 import warnings
@@ -18,6 +19,7 @@ import pytest
 
 import mmqvi
 from mmqvi import GridSpec, ModelParams, ParameterWarning
+from oracles import continuation_row, impulse_row, unflatten
 
 
 # A splitting solve and a sparse-LU solve of one step system both meet
@@ -157,3 +159,92 @@ def no_profit_params() -> ModelParams:
         q_bar=1,
         alpha_cap=1.0,
     )
+
+
+@pytest.fixture(scope="module")
+def toy_enumeration(toy_grid, toy_params, toy_stencils):
+    """Dense systems for every admissible policy of the toy instance.
+
+    Per node the choices are the admissible (la, lb) continuation pairs plus
+    the admissible impulse directions; per alpha column the choice triples
+    whose impulse graph cycles between adjacent inventory levels are dropped
+    (their systems are singular, and the path condition of the convergence
+    theorem excludes exactly these).  Kind codes: 0 continuation, +1/-1
+    impulse direction.
+    """
+    grid, p, st = toy_grid, toy_params, toy_stencils
+    m = grid.n_nodes
+    v_next = mmqvi.terminal_vector(grid, p)
+
+    rows, rhss, kinds, quote_bits = [], [], [], []
+    for node in range(m):
+        ii, jj = unflatten(grid, node)
+        node_rows, node_rhs, node_kind, node_quotes = [], [], [], []
+        for la in (0, 1):
+            for lb in (0, 1):
+                if (jj == 0 and la) or (jj == grid.n_q - 1 and lb):
+                    continue
+                cols, vals, reward = continuation_row(grid, p, st, ii, jj, la, lb)
+                dense = np.zeros(m)
+                np.add.at(dense, np.asarray(cols), np.asarray(vals))
+                node_rows.append(dense)
+                node_rhs.append(v_next[node] + reward)
+                node_kind.append(0)
+                node_quotes.append((la, lb))
+        for z in (1, -1):
+            if (jj == grid.n_q - 1 and z > 0) or (jj == 0 and z < 0):
+                continue
+            cols, vals, rhs = impulse_row(grid, p, ii, jj, z)
+            dense = np.zeros(m)
+            dense[np.asarray(cols)] = vals
+            node_rows.append(dense)
+            node_rhs.append(rhs)
+            node_kind.append(z)
+            node_quotes.append((0, 0))
+        rows.append(np.array(node_rows))
+        rhss.append(np.array(node_rhs))
+        kinds.append(np.array(node_kind))
+        quote_bits.append(np.array(node_quotes))
+
+    # Column-wise admissible triples (identical for every column).
+    n_by_level = [len(kinds[jj * grid.n_alpha]) for jj in range(grid.n_q)]
+    triples = [
+        (c0, c1, c2)
+        for c0 in range(n_by_level[0])
+        for c1 in range(n_by_level[1])
+        for c2 in range(n_by_level[2])
+        if not (kinds[0][c0] == 1 and kinds[grid.n_alpha][c1] == -1)
+        and not (kinds[grid.n_alpha][c1] == 1 and kinds[2 * grid.n_alpha][c2] == -1)
+    ]
+    triples = np.array(triples)
+    n_tr = len(triples)
+    assert n_tr == 48
+
+    grids_idx = np.meshgrid(*([np.arange(n_tr)] * grid.n_alpha), indexing="ij")
+    combos = np.stack([axis.ravel() for axis in grids_idx], axis=1)
+    n_pol = combos.shape[0]
+    choice = np.empty((n_pol, m), dtype=np.int64)
+    for ii in range(grid.n_alpha):
+        per_col = triples[combos[:, ii]]
+        for jj in range(grid.n_q):
+            choice[:, jj * grid.n_alpha + ii] = per_col[:, jj]
+
+    a = np.empty((n_pol, m, m))
+    b = np.empty((n_pol, m))
+    kind_of = np.empty((n_pol, m), dtype=np.int64)
+    for node in range(m):
+        a[:, node, :] = rows[node][choice[:, node]]
+        b[:, node] = rhss[node][choice[:, node]]
+        kind_of[:, node] = kinds[node][choice[:, node]]
+    values = np.linalg.solve(a, b[..., None])[..., 0]
+
+    return {
+        "v_next": v_next,
+        "matrices": a,
+        "rhs": b,
+        "kind_of": kind_of,
+        "values": values,
+        "choice": choice,
+        "kinds": kinds,
+        "quote_bits": quote_bits,
+    }

@@ -35,7 +35,8 @@ from mmqvi import (
 )
 from mmqvi.model import stability_bounds
 from mmqvi.policy_iteration import _check_impulse_paths
-from mmqvi.scheme import continuation_row, impulse_row, residual_at_node
+
+from oracles import continuation_row, impulse_row, residual_at_node, unflatten
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -89,94 +90,7 @@ def test_criterion_02_monotone_policy_iteration(sol6, capsys):
 
 # ------------------------------------------------- 3 and 4 (toy enumeration)
 
-
-@pytest.fixture(scope="module")
-def toy_enumeration(toy_grid, toy_params, toy_stencils):
-    """Dense systems for every admissible policy of the toy instance.
-
-    Per node the choices are the admissible (la, lb) continuation pairs plus
-    the admissible impulse directions; per alpha column the choice triples
-    whose impulse graph cycles between adjacent inventory levels are dropped
-    (their systems are singular, and the path condition of the convergence
-    theorem excludes exactly these).  Kind codes: 0 continuation, +1/-1
-    impulse direction.
-    """
-    grid, p, st = toy_grid, toy_params, toy_stencils
-    m = grid.n_nodes
-    v_next = terminal_vector(grid, p)
-
-    rows, rhss, kinds, quote_bits = [], [], [], []
-    for node in range(m):
-        ii, jj = grid.unflatten(node)
-        node_rows, node_rhs, node_kind, node_quotes = [], [], [], []
-        for la in (0, 1):
-            for lb in (0, 1):
-                if (jj == 0 and la) or (jj == grid.n_q - 1 and lb):
-                    continue
-                cols, vals, reward = continuation_row(grid, p, st, ii, jj, la, lb)
-                dense = np.zeros(m)
-                np.add.at(dense, np.asarray(cols), np.asarray(vals))
-                node_rows.append(dense)
-                node_rhs.append(v_next[node] + reward)
-                node_kind.append(0)
-                node_quotes.append((la, lb))
-        for z in (1, -1):
-            if (jj == grid.n_q - 1 and z > 0) or (jj == 0 and z < 0):
-                continue
-            cols, vals, rhs = impulse_row(grid, p, ii, jj, z)
-            dense = np.zeros(m)
-            dense[np.asarray(cols)] = vals
-            node_rows.append(dense)
-            node_rhs.append(rhs)
-            node_kind.append(z)
-            node_quotes.append((0, 0))
-        rows.append(np.array(node_rows))
-        rhss.append(np.array(node_rhs))
-        kinds.append(np.array(node_kind))
-        quote_bits.append(np.array(node_quotes))
-
-    # Column-wise admissible triples (identical for every column).
-    n_by_level = [len(kinds[jj * grid.n_alpha]) for jj in range(grid.n_q)]
-    triples = [
-        (c0, c1, c2)
-        for c0 in range(n_by_level[0])
-        for c1 in range(n_by_level[1])
-        for c2 in range(n_by_level[2])
-        if not (kinds[0][c0] == 1 and kinds[grid.n_alpha][c1] == -1)
-        and not (kinds[grid.n_alpha][c1] == 1 and kinds[2 * grid.n_alpha][c2] == -1)
-    ]
-    triples = np.array(triples)
-    n_tr = len(triples)
-    assert n_tr == 48
-
-    grids_idx = np.meshgrid(*([np.arange(n_tr)] * grid.n_alpha), indexing="ij")
-    combos = np.stack([axis.ravel() for axis in grids_idx], axis=1)
-    n_pol = combos.shape[0]
-    choice = np.empty((n_pol, m), dtype=np.int64)
-    for ii in range(grid.n_alpha):
-        per_col = triples[combos[:, ii]]
-        for jj in range(grid.n_q):
-            choice[:, jj * grid.n_alpha + ii] = per_col[:, jj]
-
-    a = np.empty((n_pol, m, m))
-    b = np.empty((n_pol, m))
-    kind_of = np.empty((n_pol, m), dtype=np.int64)
-    for node in range(m):
-        a[:, node, :] = rows[node][choice[:, node]]
-        b[:, node] = rhss[node][choice[:, node]]
-        kind_of[:, node] = kinds[node][choice[:, node]]
-    values = np.linalg.solve(a, b[..., None])[..., 0]
-
-    return {
-        "v_next": v_next,
-        "matrices": a,
-        "rhs": b,
-        "kind_of": kind_of,
-        "values": values,
-        "choice": choice,
-        "kinds": kinds,
-        "quote_bits": quote_bits,
-    }
+# ``toy_enumeration`` (conftest) holds every admissible toy policy's system.
 
 
 def test_criterion_03_brute_force_equivalence(
@@ -257,7 +171,7 @@ def test_criterion_04_theorem_condition_verifier(
     cycle_caught = not _check_impulse_paths(grid, cyc)[0]
     cyc_row = np.zeros((m, m))
     for node in range(m):
-        ii, jj = grid.unflatten(node)
+        ii, jj = unflatten(grid, node)
         if cyc_d[node]:
             cols, vals, _ = impulse_row(grid, toy_params, ii, jj, int(cyc_z[node]))
             cyc_row[node, list(cols)] = vals
@@ -328,7 +242,7 @@ def test_criterion_05_scheme_monotonicity(grid6, params6, stencils6, capsys):
     worst = np.inf
     for _ in range(1000):
         node = int(rng.integers(m))
-        ii, jj = grid6.unflatten(node)
+        ii, jj = unflatten(grid6, node)
         scale = float(rng.choice([1e-3, 0.1, 10.0]))
         w = rng.normal(size=m) * scale
         bump = rng.exponential(scale, size=m) * (rng.random(m) < 0.5)

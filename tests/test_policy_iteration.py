@@ -17,6 +17,7 @@ from mmqvi import (
     verify_theorem_conditions,
 )
 from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
+from oracles import flatten
 from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _check_impulse_paths, _stopping_metric
 from mmqvi.solver import terminal_vector
@@ -33,8 +34,8 @@ def cycle_policy(grid):
     m = grid.n_nodes
     d = np.zeros(m, dtype=np.int8)
     z = np.ones(m, dtype=np.int8)
-    mid = grid.flatten(1, 1)
-    top = grid.flatten(1, 2)
+    mid = flatten(grid, 1, 1)
+    top = flatten(grid, 1, 2)
     d[mid] = d[top] = 1
     z[top] = -1
     pol = apply_caps(grid, np.zeros(m), np.zeros(m), z, d)
@@ -141,7 +142,7 @@ def toy_policy(grid, edits=()):
         "z": np.ones(m, dtype=np.int8),
         "d": np.zeros(m, dtype=np.int8),
     }
-    fields["d"][grid.flatten(1, 1)] = 1
+    fields["d"][flatten(grid, 1, 1)] = 1
     for name, node, value in edits:
         fields[name][node] = value
     return apply_caps(grid, fields["la"], fields["lb"], fields["z"], fields["d"])
@@ -184,14 +185,14 @@ def test_inactive_impulse_direction_shares_the_factorization(
 ):
     first = toy_policy(toy_grid)
     # z at a d = 0 node flips: the policy differs, its matrix does not
-    second = toy_policy(toy_grid, [("z", toy_grid.flatten(0, 1), -1)])
+    second = toy_policy(toy_grid, [("z", flatten(toy_grid, 0, 1), -1)])
     assert not first.equals(second)
     assert first.matrix_key() == second.matrix_key()
     (t1, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch
     )
     assert splittings == 1
-    assert t1.reused == [False] and t2.reused == [True]
+    assert t1.routes == ["fresh"] and t2.routes == ["reused"]
     assert t2.reports[0] is t1.reports[0]
 
 
@@ -243,15 +244,15 @@ def test_cache_entries_hold_only_for_their_problem_and_checks(
         toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch,
         cfgs=(PiterConfig(verification="off"), PiterConfig()),
     )
-    assert splittings == 2 and t2.reused == [False] and len(t2.reports) == 1
+    assert splittings == 2 and t2.routes == ["fresh"] and len(t2.reports) == 1
     # an entry built for other stencils is not reused (improve_policy still
     # returns pol)
     cache = SystemCache()
     v_next = terminal_vector(toy_grid, toy_params)
     other = build_stencils(toy_grid, toy_params, "clamp")
-    for st, reused in ((toy_stencils, [False]), (toy_stencils, [True]), (other, [False])):
+    for st, route in ((toy_stencils, "fresh"), (toy_stencils, "reused"), (other, "fresh")):
         _, _, trace = iterate(toy_grid, toy_params, st, v_next - 1e3, v_next, cache=cache)
-        assert trace.reused == reused
+        assert trace.routes == [route]
 
 
 def test_improve_policy_is_admissible(toy_grid, toy_params, toy_stencils):
@@ -293,7 +294,7 @@ def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):
     pol = cycle_policy(toy_grid)
     ok, failing = _check_impulse_paths(toy_grid, pol)
     assert not ok
-    assert failing in (toy_grid.flatten(1, 1), toy_grid.flatten(1, 2))
+    assert failing in (flatten(toy_grid, 1, 1), flatten(toy_grid, 1, 2))
     v_next = terminal_vector(toy_grid, toy_params)
     system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
     report = verify_theorem_conditions(toy_grid, pol, system)

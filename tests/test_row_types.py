@@ -1,0 +1,211 @@
+"""One operator per grid: the shift maps and ``row_types`` against the scalar
+oracles, and the once-per-grid row checks against the verifier that scans
+an assembled A(P)."""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as hst  # noqa: E402
+
+from mmqvi import (  # noqa: E402
+    GridSpec,
+    VerificationError,
+    apply_caps,
+    assemble_system,
+    build_grid,
+    build_stencils,
+    row_types,
+    verify_theorem_conditions,
+)
+from mmqvi import scheme  # noqa: E402
+from mmqvi.grid import EXACT_SHIFT_TOL  # noqa: E402
+from mmqvi.policy_iteration import SystemCache, _row_checks  # noqa: E402
+from mmqvi.solver import terminal_vector  # noqa: E402
+
+from conftest import quiet_params  # noqa: E402
+from oracles import (  # noqa: E402
+    continuation_row,
+    flatten,
+    impulse_row,
+    shift_stencil_down,
+    shift_stencil_up,
+)
+
+
+@hst.composite
+def shifts(draw, n_alpha):
+    """A shift in units of d_alpha: an integer, a fraction, a multiple off
+    by EXACT_SHIFT_TOL/2, or one past the cap from every node."""
+    kind = draw(hst.sampled_from(["integer", "fractional", "near-integer", "past-cap"]))
+    if kind == "integer":
+        return float(draw(hst.integers(1, n_alpha - 1)))
+    if kind == "fractional":
+        return draw(hst.floats(0.05, n_alpha - 1.05).filter(lambda s: s % 1 > 1e-6))
+    if kind == "near-integer":
+        return draw(hst.integers(1, n_alpha - 1)) + EXACT_SHIFT_TOL / 2
+    return draw(hst.floats(n_alpha, 2.0 * n_alpha))
+
+
+@hst.composite
+def problems(draw):
+    """A small random valid model and grid in either mode."""
+    n_alpha = draw(hst.sampled_from([3, 5, 7, 9, 11]))
+    alpha_cap = draw(hst.floats(0.5, 5.0))
+    d_alpha = alpha_cap / ((n_alpha - 1) // 2)
+    rate = hst.floats(0.1, 10.0)
+    p = quiet_params(
+        T=draw(hst.floats(0.05, 5.0)), sigma=0.01, theta=0.1, delta=0.005,
+        eps=0.005, lambda_a=draw(rate), lambda_b=draw(rate), k=draw(rate),
+        rho=draw(rate), gamma_a=draw(shifts(n_alpha)) * d_alpha,
+        gamma_b=draw(shifts(n_alpha)) * d_alpha, phi=1e-6, psi=0.0,
+        q_bar=draw(hst.integers(1, 3)), alpha_cap=alpha_cap,
+    )
+    spec = GridSpec(draw(hst.integers(1, 10)), n_alpha, alpha_cap, p.q_bar)
+    grid = build_grid(p, spec)
+    return grid, p, build_stencils(grid, p, draw(hst.sampled_from(["clamp", "paper"])))
+
+
+def dense(cols, vals, m):
+    row = np.zeros(m)
+    row[list(cols)] = vals  # the oracles return each column once
+    return row
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_shift_maps_and_row_types_match_the_scalar_oracles(problem):
+    grid, p, st = problem
+    m = grid.n_alpha
+    for i in range(grid.n_alpha):
+        up = shift_stencil_up(grid, p, i, st.mode)
+        down = shift_stencil_down(grid, p, i, st.mode)
+        np.testing.assert_array_equal(st.up[i].toarray()[0], dense(up.indices, up.weights, m))
+        np.testing.assert_array_equal(
+            st.down[i].toarray()[0], dense(down.indices, down.weights, m)
+        )
+        assert st.boundary[i] == (up.boundary or down.boundary)
+
+    rows = row_types(grid, p, st).toarray()
+    m = grid.n_nodes
+    assert rows.shape == (6 * m, m)
+    for jj in range(grid.n_q):
+        for ii in range(grid.n_alpha):
+            node = flatten(grid, ii, jj)
+            for la in (0, 1):
+                for lb in (0, 1):
+                    if (la and jj == 0) or (lb and jj == grid.n_q - 1):
+                        continue
+                    cols, vals, _ = continuation_row(grid, p, st, ii, jj, la, lb)
+                    block = 2 * la + lb
+                    np.testing.assert_array_equal(rows[block * m + node], dense(cols, vals, m))
+            for block, z in ((4, 1), (5, -1)):
+                if 0 <= jj + z < grid.n_q:
+                    cols, vals, _ = impulse_row(grid, p, ii, jj, z)
+                    np.testing.assert_array_equal(rows[block * m + node], dense(cols, vals, m))
+
+
+# ------------------------------------------------------ gathered verifier
+
+
+def gathered_report(grid, p, st, policy):
+    """The report a solve's cache builds from the once-per-grid row checks."""
+    cache = SystemCache()
+    try:
+        cache.refresh(grid, p, st, policy, terminal_vector(grid, p),
+                      policy.matrix_key(), True)
+    except VerificationError as exc:
+        return exc.report
+    return cache.report
+
+
+def random_policy(grid, rng, impulse_share=0.3):
+    m = grid.n_nodes
+    return apply_caps(
+        grid,
+        rng.integers(0, 2, m),
+        rng.integers(0, 2, m),
+        np.where(rng.random(m) < 0.5, 1, -1),
+        (rng.random(m) < impulse_share).astype(np.int8),
+    )
+
+
+@pytest.mark.parametrize("mode", ["clamp", "paper"])
+def test_gathered_reports_equal_the_matrix_scan(mode, fast_params, fast_spec, toy_params,
+                                                toy_spec):
+    # random impulses cycle often, so the path failures that name a node are
+    # covered alongside sound policies; the wide shift of the second toy
+    # model makes paper-mode findings
+    wide = dataclasses.replace(toy_params, gamma_a=2.5, gamma_b=2.5)
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for p, spec in ((fast_params, fast_spec), (toy_params, toy_spec), (wide, toy_spec)):
+        grid = build_grid(p, spec)
+        st = build_stencils(grid, p, mode)
+        v_next = terminal_vector(grid, p)
+        for _ in range(40):
+            pol = random_policy(grid, rng, impulse_share=rng.choice([0.0, 0.1, 0.5]))
+            report = gathered_report(grid, p, st, pol)
+            assert report == verify_theorem_conditions(
+                grid, pol, assemble_system(grid, p, st, pol, v_next)
+            )
+            outcomes.add((report.sound, bool(report.findings)))
+    assert {sound for sound, _ in outcomes} == {True, False}
+    assert any(findings for _, findings in outcomes) == (mode == "paper")
+
+
+@pytest.mark.parametrize(
+    "col_shift, value, message",
+    [(0, -1.0, r"nonpositive diagonal at row 4$"),
+     (1, 3.0, r"positive off-diagonal entry on row 4$"),
+     (0, 0.5, r"interior dominance margin \S+ < 1 at row 4$")],
+)
+def test_gathered_hard_failures_name_the_node(
+    col_shift, value, message, toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    # corrupt one entry of the row type that node 4 selects, continuation
+    # with (la, lb) = (0, 0), in the table a solve's cache builds
+    grid, p, st = toy_grid, toy_params, toy_stencils
+    m, node = grid.n_nodes, 4
+    zeros = np.zeros(m, dtype=np.int8)
+    pol = apply_caps(grid, zeros, zeros, np.ones(m), zeros)
+    built = row_types(grid, p, st).tolil()
+    built[node, node + col_shift] = value
+    monkeypatch.setattr(scheme, "row_types", lambda *a: built.tocsr())
+    gathered = gathered_report(grid, p, st, pol)
+    assert gathered == verify_theorem_conditions(
+        grid, pol, assemble_system(grid, p, st, pol, terminal_vector(grid, p))
+    )
+    assert re.match(message, gathered.hard_failures[0])
+
+
+def test_row_checks_agree_with_the_toy_enumeration(
+    toy_grid, toy_params, toy_stencils, toy_enumeration
+):
+    # every admissible toy policy (110,592): its rows' checks, gathered from
+    # the once-per-grid table, against the dense matrices of the enumeration
+    grid = toy_grid
+    m = grid.n_nodes
+    checks = _row_checks(row_types(grid, toy_params, toy_stencils))
+    choice = toy_enumeration["choice"]
+    sel = np.empty_like(choice)
+    for node in range(m):
+        kinds = toy_enumeration["kinds"][node]
+        la, lb = toy_enumeration["quote_bits"][node].T
+        block = np.where(kinds == 0, 2 * la + lb, 4 + (kinds == -1))
+        sel[:, node] = block[choice[:, node]] * m + node
+    diag, pos_off, margin, row_sum = checks[:, sel]
+
+    a = toy_enumeration["matrices"]
+    idx = np.arange(m)
+    np.testing.assert_array_equal(diag, a[:, idx, idx])
+    off = a.copy()
+    off[:, idx, idx] = 0.0
+    np.testing.assert_array_equal(pos_off.astype(bool), (off > 1e-12).any(axis=2))
+    np.testing.assert_allclose(margin, a[:, idx, idx] - np.abs(off).sum(axis=2),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row_sum, a.sum(axis=2), rtol=0, atol=1e-14)

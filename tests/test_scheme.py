@@ -15,16 +15,11 @@ import pytest
 from mmqvi import GridSpec, Policy, apply_caps, assemble_system, build_grid, build_stencils
 from mmqvi.linsolve import solve
 from mmqvi.model import terminal_value
-from mmqvi.scheme import (
-    assemble_rhs,
-    continuation_row,
-    impulse_row,
-    residual,
-    residual_at_node,
-)
+from mmqvi.scheme import assemble_rhs, residual
 from mmqvi.solver import terminal_vector
 
 from conftest import quiet_params
+from oracles import continuation_row, flatten, impulse_row, residual_at_node, unflatten
 
 
 def null_policy(grid):
@@ -99,7 +94,7 @@ def test_policy_digest_tracks_content(toy_grid):
 
 
 def test_continuation_diagonal_at_center(grid6, params6, stencils6):
-    node = grid6.flatten(50, 4)  # alpha = 0, q = 0
+    node = flatten(grid6, 50, 4)  # alpha = 0, q = 0
     cols, vals, reward = continuation_row(grid6, params6, stencils6, 50, 4, 0, 0)
     diag = vals[list(cols).index(node)]
     # 1 + dt * (diffusion 2 * (rho^2/2)/d_alpha^2 + jump intensities)
@@ -128,8 +123,8 @@ def test_continuation_row_rejects_cap_breaching_quotes(grid6, params6, stencils6
 
 
 def test_impulse_row_entries(grid6, params6):
-    node = grid6.flatten(50, 4)
-    up = grid6.flatten(50, 5)
+    node = flatten(grid6, 50, 4)
+    up = flatten(grid6, 50, 5)
     cols, vals, rhs = impulse_row(grid6, params6, 50, 4, 1)
     assert list(cols) == [node, up]
     assert list(vals) == [1.0, -1.0]
@@ -155,7 +150,7 @@ def test_assembled_system_matches_row_builders(toy_grid, toy_params, toy_stencil
     system = assemble_system(grid, p, st, pol, v_next)
     dense = system.matrix.toarray()
     for node in range(grid.n_nodes):
-        ii, jj = grid.unflatten(node)
+        ii, jj = unflatten(grid, node)
         row = np.zeros(grid.n_nodes)
         if pol.d[node]:
             cols, vals, rhs = impulse_row(grid, p, ii, jj, int(pol.z[node]))
@@ -243,7 +238,7 @@ def test_residual_at_node_matches_vector_residual(toy_grid, toy_params, toy_sten
     v_next = rng.normal(size=grid.n_nodes)
     res, _ = residual(grid, p, st, v, v_next)
     for node in range(grid.n_nodes):
-        ii, jj = grid.unflatten(node)
+        ii, jj = unflatten(grid, node)
         scalar = residual_at_node(grid, p, st, ii, jj, v[node], v, v_next)
         assert scalar == pytest.approx(res[node], abs=1e-12)
 
@@ -348,4 +343,4 @@ def test_quote_everywhere_policy_matches_coefficient_recursion(params6):
     np.testing.assert_allclose(
         v0.reshape(nq, grid.n_alpha), exact, rtol=0, atol=1e-12
     )
-    assert v0[grid.flatten(25, 4)] == pytest.approx(0.015037902973, abs=1e-9)
+    assert v0[flatten(grid, 25, 4)] == pytest.approx(0.015037902973, abs=1e-9)

@@ -1,15 +1,21 @@
 """Backward orchestration: envelopes, baselines, and grid refinement."""
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mmqvi.linsolve
 import mmqvi.policy_iteration
+import mmqvi.scheme
 from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from mmqvi import (
     ExplicitInstabilityError,
     GridSpec,
     PiterConfig,
+    Policy,
     PolicyIterationError,
     SolveError,
     StabilityEnvelopeError,
@@ -106,6 +112,15 @@ def test_verification_failures_name_the_level(toy_params, monkeypatch):
     with pytest.raises(VerificationError, match=r"^time level 2: no impulse chain") as exc_info:
         solve_backward(toy_params, spec)
     assert not exc_info.value.report.path_ok
+
+
+def test_paper_mode_reference_solve_fails_on_a_named_decrease(params6, spec6):
+    # Extrapolated rows void the monotonicity guarantee; at the reference
+    # configuration an iterate decreases.  The solve must stop on that
+    # decrease, not on a verification error the row checks invented.
+    pattern = r"^time level \d+: iterate decreased .* at node \d+"
+    with pytest.raises(PolicyIterationError, match=pattern):
+        solve_backward(params6, spec6, mode="paper")
 
 
 def test_solve_failures_name_the_level_and_row(toy_params):
@@ -210,3 +225,36 @@ def test_refinement_table_shapes(toy_params, toy_spec):
     np.testing.assert_allclose(
         result.diffs, np.abs(np.diff(result.values, axis=0))
     )
+
+
+# ------------------------------------------------------------ solve path
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these names; a missing one crashes a
+    # traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, span, _ in tracing._patch_table():
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
+
+
+def test_one_solve_builds_the_row_types_once_and_rescans_nothing(
+    fast_params, fast_spec, monkeypatch
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((mmqvi.scheme, "row_types"), (Policy, "validate"),
+                        (mmqvi.policy_iteration, "verify_theorem_conditions")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    sol = solve_backward(fast_params, fast_spec)
+    assert calls == {"row_types": 1}
+    assert all(e["min_interior_margin"] is not None for e in sol.metadata["per_level"])
