@@ -1,12 +1,15 @@
 """Linear solves for the per-step policy systems.
 
-For every admissible policy the verifier shows A(P) to be a nonsingular
-M-matrix, so A = M - N with M the band |i - j| <= 1 of A and N = M - A >= 0
-is a regular splitting: the sweeps x <- M^-1 (N x + b) converge from any
-start, and from a subsolution (A x <= b) they never decrease (Varga 1962,
-Thm 3.13).  ``Splitting`` factors the tridiagonal M once with LAPACK and
-solves by such sweeps.  Every solve is verified against the mixed
-absolute-relative residual contract
+For every admissible policy A(P) is a nonsingular M-matrix, so A = M - N
+with M the tridiagonal band of A and N = M - A >= 0 is a regular splitting:
+the sweeps x <- M^-1 (N x + b) converge, and from a subsolution (A x <= b)
+they never decrease (Varga 1962, Thm 3.13).  ``split`` takes a stack of row
+blocks apart once; M and N of a selection of its rows are gathered by row.
+An impulse row x_i - x_j = b_i lies wholly in N, so after each tridiagonal
+solve a sweep closes every impulse chain exactly: x_i <- x_end + (sum of b
+on the chain).  The impulse block I - S has a nilpotent S >= 0, so this
+only raises a subsolution and keeps A x <= b: the sweeps stay monotone.
+Every solve is verified against the residual contract
 
     ||A v - b||_inf <= tol * (1 + ||b||_inf)
 
@@ -25,8 +28,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 # Sweeps a splitting solve may take before it falls back to sparse LU.  At
-# the reference parameters a solve took at most 44 sweeps at
-# dt*(lambda_a + lambda_b) = 2 and 296 at 20.
+# the reference parameters on the 101-alpha grid a solve took at most 8
+# sweeps at dt*(lambda_a + lambda_b) = 0.1, 52 at 2 and 412 at 20.
 SWEEP_BUDGET = 512
 # Sweeps between two checks of the residual contract.
 CHECK_EVERY = 4
@@ -80,12 +83,10 @@ def _checked(matrix) -> sp.csr_matrix:
     return matrix
 
 
-def _checked_rhs(matrix, rhs) -> np.ndarray:
+def _checked_rhs(shape, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
-    if matrix.shape != (rhs.shape[0],) * 2:
-        raise ValueError(
-            f"matrix shape {matrix.shape} incompatible with rhs length {rhs.shape[0]}"
-        )
+    if shape != (rhs.shape[0],) * 2:
+        raise ValueError(f"matrix shape {shape} incompatible with rhs length {rhs.shape[0]}")
     return rhs
 
 
@@ -97,7 +98,7 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
     when the solution misses the contract.
     """
     matrix = _checked(matrix)
-    rhs = _checked_rhs(matrix, rhs)
+    rhs = _checked_rhs(matrix.shape, rhs)
     try:
         v = spla.splu(matrix.tocsc()).solve(rhs)
     except RuntimeError as exc:  # splu signals exact singularity this way
@@ -114,53 +115,100 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
     return SolveReport(solution=v, method="direct-lu", iterations=0, residual_norm=res)
 
 
-class Splitting:
-    """Regular splitting A = M - N of one matrix, M its tridiagonal band.
+def split(matrix: sp.csr_matrix):
+    """Split ``matrix``, a CSR stack of square row blocks, in place.
 
-    M is factored once (LAPACK ``dgttrf``); each ``sweep`` costs one
-    tridiagonal solve and one sparse product with N.  Raises
-    SingularSystemError for a zero diagonal entry.  ``matrix`` should be an
-    M-matrix; for any other the sweeps may miss the contract and every solve
-    then ends in the fallback.
+    The diagonal of row r is its column r mod n_cols.  Returns ((sub, diag,
+    sup), n_part): per row the entries one column left of, on and right of
+    the diagonal, and n_part = band - matrix, which is ``matrix`` itself
+    with its band removed and the rest negated.
+    """
+    n_rows, n_cols = matrix.shape
+    # index-width temporaries: this runs on the largest matrix of a solve
+    rows = np.repeat(np.arange(n_rows, dtype=matrix.indices.dtype), np.diff(matrix.indptr))
+    offset = np.remainder(rows, n_cols)
+    np.subtract(matrix.indices, offset, out=offset)
+    band = []
+    for k in (-1, 0, 1):
+        at = offset == k
+        band.append(np.bincount(rows[at], matrix.data[at], minlength=n_rows))
+        matrix.data[at] = 0.0
+    np.negative(matrix.data, out=matrix.data)
+    matrix.eliminate_zeros()
+    return tuple(band), matrix
+
+
+class Splitting:
+    """Regular splitting A = M - N, M tridiagonal, with impulse chains closed.
+
+    ``band`` = (sub, diag, sup) holds M by rows (``sub[0]`` and ``sup[-1]``
+    are ignored) and ``n_part`` is N.  ``chains`` = (starts, ends, (k, row))
+    lists each impulse row ``starts[k]``, the continuation node ``ends[k]``
+    its chain reaches and the impulse rows on chain k.  M is factored once
+    (LAPACK ``dgttrf``).  For A not an M-matrix the sweeps may miss the
+    contract and every solve then ends in the fallback.
     """
 
-    def __init__(self, matrix):
-        self.matrix = a = _checked(matrix)
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        outside = np.abs(a.indices - rows) > 1
-        self.n_part = sp.csr_matrix(
-            (np.where(outside, -a.data, 0.0), a.indices.copy(), a.indptr.copy()),
-            shape=a.shape,
-        )
-        self.n_part.eliminate_zeros()
-        # Below 3 rows the band is the whole matrix (and SciPy's wrapper
-        # rejects it); a singular band leaves the sweeps undefined.  Either
-        # way there are no sweeps and every solve goes to the LU fallback.
+    def __init__(self, band, n_part: sp.csr_matrix, chains=None):
+        self.band, self.n_part, self.chains = band, n_part, chains
+        sub, diag, sup = band
+        # SciPy rejects a band below 3 rows, and a singular one leaves the
+        # sweeps undefined: then every solve goes to the LU fallback.
         self._lu = None
-        if a.shape[0] >= 3:
-            *lu, info = lapack.dgttrf(a.diagonal(-1), a.diagonal(), a.diagonal(1))
+        if diag.size >= 3:
+            *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
             self._lu = lu if info == 0 else None
 
-    def sweep(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """One sweep: M^-1 (N x + rhs)."""
-        return lapack.dgttrs(*self._lu, self.n_part @ x + rhs)[0]
+    @classmethod
+    def of(cls, matrix) -> "Splitting":
+        """Splitting of a square matrix, without chains; raises
+        SingularSystemError for a zero diagonal entry."""
+        return cls(*split(_checked(matrix).copy()))
+
+    def matrix(self) -> sp.csr_matrix:
+        """A = M - N, built anew."""
+        sub, diag, sup = self.band
+        return sp.diags([sub[1:], diag, sup[:-1]], [-1, 0, 1], format="csr") - self.n_part
+
+    def _lift(self, rhs: np.ndarray):
+        """Per chain, the sum of ``rhs`` over its impulse rows."""
+        if self.chains is not None:
+            starts, _, (k, row) = self.chains
+            return np.bincount(k, rhs[row], minlength=starts.size)
+
+    def sweep(self, x: np.ndarray, rhs: np.ndarray, nx=None, lift=None) -> np.ndarray:
+        """One sweep from ``x``: M^-1 (N x + rhs), then the impulse chains
+        closed.  ``nx`` = N x and ``lift`` = ``_lift(rhs)`` when known."""
+        x = lapack.dgttrs(*self._lu, (self.n_part @ x if nx is None else nx) + rhs)[0]
+        if self.chains is not None:
+            starts, ends, _ = self.chains
+            x[starts] = x[ends] + (self._lift(rhs) if lift is None else lift)
+        return x
 
     def solve(self, rhs: np.ndarray, tol: float = 1e-10, x0=None) -> SolveReport:
         """Solve ``A @ v = rhs`` by sweeps from ``x0`` (default zero).
 
-        The contract is checked on A every ``CHECK_EVERY`` sweeps.  After
+        Every ``CHECK_EVERY`` sweeps the contract is checked on A = M - N
+        with the product N x that the next sweep reuses.  After
         ``SWEEP_BUDGET`` sweeps without meeting it, the solve falls back to
-        ``solve`` (sparse LU), whose report then records the sweeps spent.
+        ``solve`` (sparse LU) on A, whose report then records the sweeps
+        spent.
         """
-        rhs = _checked_rhs(self.matrix, rhs)
+        rhs = _checked_rhs(self.n_part.shape, rhs)
         x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
         bound = _contract_bound(rhs, tol)
         budget = 0 if self._lu is None else SWEEP_BUDGET
+        sub, diag, sup = self.band
+        lift, nx = self._lift(rhs), self.n_part @ x
         for sweeps in range(1, budget + 1):
-            x = self.sweep(x, rhs)
+            x = self.sweep(x, rhs, nx, lift)
+            nx = self.n_part @ x
             if sweeps % CHECK_EVERY == 0:
-                res = residual_norm(self.matrix, rhs, x)
+                r = diag * x - nx - rhs
+                r[1:] += sub[1:] * x[:-1]
+                r[:-1] += sup[:-1] * x[1:]
+                res = float(np.max(np.abs(r)))
                 if res <= bound:
                     return SolveReport(solution=x, method="splitting",
                                        iterations=sweeps, residual_norm=res)
-        return replace(solve(self.matrix, rhs, tol), iterations=budget)
+        return replace(solve(self.matrix(), rhs, tol), iterations=budget)

@@ -11,11 +11,12 @@ the iterates, are then entrywise nondecreasing, and the iteration converges
 in finitely many steps; monotonicity is asserted at verification level
 ``per-step`` and above.
 
-The Z-matrix and dominance conditions are local to a row (Azimzadeh &
-Forsyth 2016), and every row of A(P) is one of the grid's row types.  So
-they are checked once per grid, over all row types, and each policy's
-report gathers its rows' results; per policy only the impulse-chain walk
-runs.
+Every row of A(P) is one of the grid's row types, which are split once per
+grid into band pieces and N and checked once for the row-local Z-matrix and
+dominance conditions (Azimzadeh & Forsyth 2016).  Per policy the report
+and the splitting gather their rows, and one impulse-chain walk verifies
+the impulse graph and gives the splitting the chains it closes; no A(P) is
+built on the solve path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
 from .model import ModelParams
-from .scheme import Policy, SparseSystem
+from .scheme import Policy, SparseSystem, policy_masks
 
 # Relative stopping metric falls back to absolute differences below this.
 RELATIVE_FLOOR = 1e-12
@@ -80,10 +81,12 @@ class PiterConfig:
 class PiterTrace:
     """Per-iteration diagnostics: policy digests, stopping metrics, the
     smallest entrywise increment of each new iterate (negative = decrease),
-    the route of each solve (``fresh``: A(P) selected, verified and split;
+    the route of each solve (``fresh``: splitting gathered and verified;
     ``reused``: the cached splitting and report), the splitting sweeps of
-    each solve, the number of solves that fell back to sparse LU, and the
-    verification report of each solved system (none at verification off).
+    each solve, the number of solves that fell back to sparse LU, the
+    verification report of each solved system (none at verification off),
+    and for every improvement after the first the number of nodes whose
+    (la, lb, d, z) changed from the previous one.
     """
 
     policy_digests: list[str] = field(default_factory=list)
@@ -93,6 +96,7 @@ class PiterTrace:
     sweeps: list[int] = field(default_factory=list)
     fallbacks: int = 0
     reports: list["VerificationReport"] = field(default_factory=list)
+    switched: list[int] = field(default_factory=list)
     converged_by: str = ""
 
     @property
@@ -132,21 +136,24 @@ class VerificationReport:
 
 @dataclass(eq=False)
 class SystemCache:
-    """Row types of one problem and the splitting of the last solved A(P).
+    """Split row types of one problem and the splitting of the last solved A(P).
 
-    ``owner`` is the (grid, model, stencils) the cache was built for;
-    ``rows`` = ``scheme.row_types(*owner)`` and ``checks`` its per-row
-    conditions (``_row_checks``) are computed once per owner.  The one entry
-    is ``key`` = ``P.matrix_key()``, ``report`` (None when unverified) and
-    ``split``, the ``linsolve.Splitting`` of A(P).
+    ``owner`` is the (grid, model, stencils) the cache was built for.  Once
+    per owner, ``scheme.row_types(*owner)`` is split in place
+    (``linsolve.split``) into its ``band`` pieces and off-band ``n_types``,
+    and ``checks`` = ``_row_checks`` of those; no other copy of the row
+    types is kept.  The one entry is ``key`` = ``P.matrix_key()``,
+    ``report`` (None when unverified) and ``split``, the
+    ``linsolve.Splitting`` of A(P).
     """
 
     key: bytes | None = None
     owner: tuple = (None, None, None)
     report: "VerificationReport | None" = None
     split: linsolve.Splitting | None = None
-    rows: sp.csr_matrix | None = None
     checks: np.ndarray | None = None
+    band: tuple | None = None
+    n_types: sp.csr_matrix | None = None
 
     def _owned_by(self, grid, p, st) -> bool:
         return all(a is b for a, b in zip(self.owner, (grid, p, st)))
@@ -160,23 +167,24 @@ class SystemCache:
             and (self.report is not None or not verify)
         )
 
-    def refresh(self, grid, p, st, policy: Policy, v_next, key: bytes,
-                verify: bool) -> None:
-        """Select, verify and split A(P) for ``key``.  A new owner rebuilds
-        the row types and drops the entry; otherwise the entry changes only
-        when all three succeed."""
+    def refresh(self, grid, p, st, policy: Policy, key: bytes, verify: bool) -> None:
+        """Verify and gather the splitting of A(P) for ``key``.  A new owner
+        rebuilds the split row types and drops the entry; otherwise the entry
+        changes only when verification succeeds.  Impulse chains are closed
+        only when the walk finds every one ending in a continuation node."""
         if not self._owned_by(grid, p, st):
-            rows = scheme.row_types(grid, p, st)
             self.key = self.report = self.split = None
-            self.owner, self.rows, self.checks = (grid, p, st), rows, _row_checks(rows)
-        system = scheme.select_system(grid, p, st, self.rows, policy, v_next)
+            self.band, self.n_types = linsolve.split(scheme.row_types(grid, p, st))
+            self.checks = _row_checks(self.band, self.n_types)
+            self.owner = (grid, p, st)
+        rows = scheme.policy_rows(grid, policy)
+        path_ok, failing_node, chains = _impulse_chains(grid, policy)
         report = None
         if verify:
-            checks = self.checks[:, scheme.policy_rows(grid, policy)]
-            report = _verified(
-                _report(system, checks, _check_impulse_paths(grid, policy))
-            )
-        self.key, self.report, self.split = key, report, linsolve.Splitting(system.matrix)
+            report = _verified(_report(self.checks[:, rows], *policy_masks(grid, st, policy),
+                                       st.mode, (path_ok, failing_node)))
+        self.key, self.report, self.split = key, report, linsolve.Splitting(
+            tuple(piece[rows] for piece in self.band), self.n_types[rows], chains)
 
 
 def improve_policy(
@@ -206,37 +214,33 @@ def verify_theorem_conditions(
     violations confined to extrapolated rows are reported as findings rather
     than failures.  The row conditions are read off ``system.matrix`` itself.
     """
-    checks = _row_checks(system.matrix, z_tol)
-    return _report(system, checks, _check_impulse_paths(grid, policy), z_tol, margin_tol)
+    checks = _row_checks(*linsolve.split(system.matrix.tocsr(copy=True)), z_tol)
+    return _report(checks, system.impulse_mask, system.boundary_rows, system.mode,
+                   _impulse_chains(grid, policy)[:2], z_tol, margin_tol)
 
 
-def _row_checks(matrix, z_tol: float = Z_TOL) -> np.ndarray:
+def _row_checks(band, n_part: sp.csr_matrix, z_tol: float = Z_TOL) -> np.ndarray:
     """Per-row (diagonal, positive off-diagonal flag, dominance margin, row
-    sum) of ``matrix`` as a 4 x n_rows array.
-
-    The diagonal of row r is its column r mod n_cols, so a stack of square
-    row blocks such as ``scheme.row_types`` is checked row by row as well.
-    """
-    a = matrix.tocoo()
-    n = a.shape[0]
-    on_diag = a.col == a.row % a.shape[1]
-    off = ~on_diag
-    diag = np.bincount(a.row[on_diag], a.data[on_diag], minlength=n)
-    pos_off = np.bincount(a.row[off & (a.data > z_tol)], minlength=n) > 0
-    margin = diag - np.bincount(a.row[off], np.abs(a.data[off]), minlength=n)
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    sum) of a matrix ``linsolve.split`` into ``band`` and ``n_part``, as a
+    4 x n_rows array; a stack of row blocks is checked row by row."""
+    sub, diag, sup = band
+    n = diag.size
+    rows = np.repeat(np.arange(n), np.diff(n_part.indptr))
+    off = n_part.data  # = -A off the band
+    pos_off = ((sub > z_tol) | (sup > z_tol)
+               | (np.bincount(rows[off < -z_tol], minlength=n) > 0))
+    margin = diag - np.abs(sub) - np.abs(sup) - np.bincount(rows, np.abs(off), minlength=n)
+    row_sums = sub + diag + sup - np.bincount(rows, off, minlength=n)
     return np.stack([diag, pos_off, margin, row_sums])
 
 
-def _report(
-    system: SparseSystem,
-    checks: np.ndarray,
-    path: tuple[bool, int | None],
-    z_tol: float = Z_TOL,
-    margin_tol: float = MARGIN_TOL,
-) -> VerificationReport:
-    """Verification report of ``system`` from the ``_row_checks`` of its
-    rows and the impulse-chain walk ``path``."""
+def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode: str,
+            path: tuple[bool, int | None], z_tol: float = Z_TOL,
+            margin_tol: float = MARGIN_TOL) -> VerificationReport:
+    """Verification report of A(P) from the ``_row_checks`` of its rows, its
+    impulse mask and boundary rows (as ``SparseSystem`` holds them), the
+    stencil mode and the impulse-chain walk ``path`` = (path_ok,
+    failing_node)."""
     diag, pos_off, margin, row_sums = checks
     findings: list[str] = []
     hard: list[str] = []
@@ -248,8 +252,8 @@ def _report(
     pos_off_rows = np.flatnonzero(pos_off)
     z_matrix_ok = pos_off_rows.size == 0
     if not z_matrix_ok:
-        outside = np.setdiff1d(pos_off_rows, np.flatnonzero(system.boundary_rows))
-        if system.mode == "paper" and outside.size == 0:
+        outside = np.setdiff1d(pos_off_rows, np.flatnonzero(boundary))
+        if mode == "paper" and outside.size == 0:
             findings.append(
                 f"paper mode: positive off-diagonals on {pos_off_rows.size} extrapolated rows"
             )
@@ -257,8 +261,7 @@ def _report(
             where = outside[0] if outside.size else pos_off_rows[0]
             hard.append(f"positive off-diagonal entry on row {int(where)}")
 
-    interior = ~system.impulse_mask & ~system.boundary_rows
-    boundary = system.boundary_rows
+    interior = ~impulse & ~boundary
     min_interior = float(margin[interior].min()) if interior.any() else np.inf
     min_boundary = float(margin[boundary].min()) if boundary.any() else np.inf
 
@@ -272,17 +275,16 @@ def _report(
     if not boundary_dominance_ok:
         row = int(np.flatnonzero(boundary)[np.argmin(margin[boundary])])
         msg = f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row {row}"
-        if system.mode == "paper":
+        if mode == "paper":
             findings.append("paper mode: " + msg)
         else:
             hard.append(msg)
 
-    imp = system.impulse_mask
     impulse_rows_ok = True
-    if imp.any():
+    if impulse.any():
         impulse_rows_ok = bool(
-            np.all(np.abs(row_sums[imp]) <= z_tol)
-            and np.all(np.abs(diag[imp] - 1.0) <= z_tol)
+            np.all(np.abs(row_sums[impulse]) <= z_tol)
+            and np.all(np.abs(diag[impulse] - 1.0) <= z_tol)
         )
         if not impulse_rows_ok:
             hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")
@@ -294,7 +296,7 @@ def _report(
         )
 
     return VerificationReport(
-        mode=system.mode,
+        mode=mode,
         diag_positive=diag_positive,
         z_matrix_ok=z_matrix_ok,
         interior_dominance_ok=interior_dominance_ok,
@@ -315,30 +317,37 @@ def _verified(report: VerificationReport) -> VerificationReport:
     return report
 
 
-def _check_impulse_paths(grid: Grid, policy: Policy) -> tuple[bool, int | None]:
+def _impulse_chains(grid: Grid, policy: Policy):
     """Walk z-directed inventory neighbors from every d = 1 node.
 
-    Succeeds when every walk lands on a d = 0 node within 2*q_bar moves;
-    walks that leave the inventory band or cycle mark the starting node.
+    Returns (path_ok, failing_node, chains).  The walk succeeds when every
+    chain lands on a d = 0 node within 2*q_bar moves; a chain that leaves
+    the inventory band or cycles marks its starting node as failing and
+    ``chains`` is None.  Otherwise ``chains`` = (starts, ends, (k, node)) as
+    ``linsolve.Splitting`` takes them: the d = 1 nodes, the continuation
+    node each chain ends in, and every d = 1 node on chain k.
     """
     d = policy.d.astype(bool)
-    cur = np.flatnonzero(d)
-    start = cur.copy()
+    cur = starts = np.flatnonzero(d)
+    ends, chain, on_chain = np.empty_like(starts), np.arange(starts.size), []
     n_alpha, n_q = grid.n_alpha, grid.n_q
     for _ in range(n_q - 1):
         if cur.size == 0:
-            return True, None
+            break
+        on_chain.append((chain, cur))
         step = policy.z[cur].astype(np.int64)
         nxt_jj = cur // n_alpha + step
         escaped = (nxt_jj < 0) | (nxt_jj >= n_q)
         if escaped.any():
-            return False, int(start[escaped][0])
+            return False, int(starts[chain[escaped][0]]), None
         cur = cur + step * n_alpha
         alive = d[cur]
-        cur, start = cur[alive], start[alive]
+        ends[chain[~alive]] = cur[~alive]
+        cur, chain = cur[alive], chain[alive]
     if cur.size:
-        return False, int(start[0])
-    return True, None
+        return False, int(starts[chain[0]]), None
+    links = tuple(np.concatenate(a) for a in zip(*on_chain)) if on_chain else (chain, starts)
+    return True, None, (starts, ends, links)
 
 
 def _stopping_metric(v_new: np.ndarray, v_old: np.ndarray) -> float:
@@ -366,11 +375,12 @@ def iterate(
 
     A(P) depends on the policy alone.  A solve whose policy has the matrix
     key of the entry in ``cache`` reuses its report and splitting and builds
-    only the right side; any other selects, verifies and splits A(P).
-    Each solve sweeps the splitting from the current iterate; a solve whose
-    sweeps miss the residual contract within ``linsolve.SWEEP_BUDGET`` falls
-    back to sparse LU.  Pass one cache to successive calls to carry the row
-    types and the splitting across time steps.
+    only the right side; any other verifies A(P) and gathers its splitting
+    from the split row types.  Each solve sweeps the splitting from the
+    current iterate; a solve whose sweeps miss the residual contract within
+    ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
+    successive calls to carry the split row types and the splitting across
+    time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
@@ -382,15 +392,17 @@ def iterate(
 
     for _ in range(cfg.max_iter):
         policy = improve_policy(grid, p, st, v, v_next)
-        if prev_policy is not None and policy.equals(prev_policy):
-            trace.converged_by = "policy-repeat"
-            return v, prev_policy, trace
+        if prev_policy is not None:
+            trace.switched.append(policy.switched_nodes(prev_policy))
+            if trace.switched[-1] == 0:
+                trace.converged_by = "policy-repeat"
+                return v, prev_policy, trace
 
         key = policy.matrix_key()
         route = "reused"
         if not cache.holds(grid, p, st, key, verify):
             route = "fresh"
-            cache.refresh(grid, p, st, policy, v_next, key, verify)
+            cache.refresh(grid, p, st, policy, key, verify)
         rhs = scheme.assemble_rhs(grid, p, policy, v_next)
         report = cache.split.solve(rhs, cfg.solver_tol, v)
         v_new = report.solution

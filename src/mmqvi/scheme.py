@@ -92,13 +92,11 @@ class Policy:
             for arr in (self.la, self.lb, self.d, active_z)
         )
 
-    def equals(self, other: "Policy") -> bool:
-        return (
-            np.array_equal(self.la, other.la)
-            and np.array_equal(self.lb, other.lb)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.d, other.d)
-        )
+    def switched_nodes(self, other: "Policy") -> int:
+        """Number of nodes whose (la, lb, d, z) differ from ``other``'s;
+        0 when the two policies are equal."""
+        changed = (self.la != other.la) | (self.lb != other.lb) | (self.d != other.d)
+        return int(np.count_nonzero(changed | (self.z != other.z)))
 
 
 def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
@@ -280,20 +278,10 @@ def policy_rows(grid: Grid, policy: Policy) -> np.ndarray:
     return block.astype(np.int64) * grid.n_nodes + np.arange(grid.n_nodes)
 
 
-def select_system(grid: Grid, p: ModelParams, st: StencilSet, rows: sp.csr_matrix,
-                  policy: Policy, v_next: np.ndarray) -> SparseSystem:
-    """A(P) and b(P) with A(P) selected from ``rows = row_types(grid, p, st)``.
-
-    Unlike ``assemble_system`` it does not validate ``policy``.
-    """
+def policy_masks(grid: Grid, st: StencilSet, policy: Policy):
+    """(impulse_mask, boundary_rows) of A(P), as ``SparseSystem`` holds them."""
     impulse = policy.d.astype(bool)
-    return SparseSystem(
-        matrix=rows[policy_rows(grid, policy)],
-        rhs=assemble_rhs(grid, p, policy, v_next),
-        impulse_mask=impulse,
-        boundary_rows=np.tile(st.boundary, grid.n_q) & ~impulse,
-        mode=st.mode,
-    )
+    return impulse, np.tile(st.boundary, grid.n_q) & ~impulse
 
 
 def assemble_system(
@@ -305,8 +293,10 @@ def assemble_system(
 ) -> SparseSystem:
     """Assemble A(P) and b(P) for one implicit step under ``policy``.
 
-    A(P) depends only on ``policy.matrix_key()``; ``v_next`` enters b(P)
-    alone.
+    A(P) is the ``policy_rows`` selection from ``row_types`` and depends only
+    on ``policy.matrix_key()``; ``v_next`` enters b(P) alone.
     """
     policy.validate(grid)
-    return select_system(grid, p, st, row_types(grid, p, st), policy, v_next)
+    return SparseSystem(row_types(grid, p, st)[policy_rows(grid, policy)],
+                        assemble_rhs(grid, p, policy, v_next),
+                        *policy_masks(grid, st, policy), st.mode)

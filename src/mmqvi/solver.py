@@ -162,6 +162,7 @@ def solve_backward(
                 "sweeps": sum(trace.sweeps),
                 "fallbacks": trace.fallbacks,
                 "reused_solves": trace.routes.count("reused"),
+                "switched_nodes": sum(trace.switched),
                 "min_interior_margin": min(
                     (r.min_interior_margin for r in trace.reports), default=None
                 ),

@@ -38,6 +38,15 @@ def split_match_ratio(v, exact, rhs) -> float:
     return float(np.abs(v - exact).max()) / bound
 
 
+def residual_rounding(a, b, x) -> float:
+    """Largest rounding gap between two evaluations of ||a x - b||_inf that
+    sum the same terms in different orders (a splitting sums M x - N x - b,
+    a CSR product sums each row of a in column order)."""
+    terms = abs(a) @ np.abs(x) + np.abs(b)
+    n = int(np.diff(a.indptr).max()) + 2
+    return 2.0 * n * np.finfo(float).eps * float(terms.max())
+
+
 def quiet_params(**kwargs) -> ModelParams:
     """Construct ModelParams with zero-valued-field warnings suppressed."""
     with warnings.catch_warnings():

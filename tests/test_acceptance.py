@@ -34,7 +34,7 @@ from mmqvi import (
     verify_theorem_conditions,
 )
 from mmqvi.model import stability_bounds
-from mmqvi.policy_iteration import _check_impulse_paths
+from mmqvi.policy_iteration import _impulse_chains
 
 from oracles import continuation_row, impulse_row, residual_at_node, unflatten
 
@@ -161,14 +161,14 @@ def test_criterion_04_theorem_condition_verifier(
                     z[node] = kind
         pol = Policy(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=z, d=d)
         pol.validate(grid)
-        good, _ = _check_impulse_paths(grid, pol)
+        good, _, _ = _impulse_chains(grid, pol)
         paths_ok = paths_ok and good
     cyc_d = np.zeros(m, dtype=np.int8)
     cyc_z = np.ones(m, dtype=np.int8)
     cyc_d[1] = cyc_d[1 + grid.n_alpha] = 1
     cyc_z[1 + grid.n_alpha] = -1
     cyc = Policy(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=cyc_z, d=cyc_d)
-    cycle_caught = not _check_impulse_paths(grid, cyc)[0]
+    cycle_caught = not _impulse_chains(grid, cyc)[0]
     cyc_row = np.zeros((m, m))
     for node in range(m):
         ii, jj = unflatten(grid, node)

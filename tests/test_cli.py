@@ -200,7 +200,9 @@ def test_solve_mode_logs_the_solve_routes(tiny_config, tmp_path, caplog):
     with caplog.at_level(logging.INFO):
         assert main(["--config", str(tiny_config), "--out", str(tmp_path)]) == 0
     line = next(r.message for r in caplog.records if r.message.startswith("solve done"))
-    counts = re.search(r"(\d+) sweeps, (\d+) fallbacks, (\d+) reused solves", line)
+    counts = re.search(
+        r"(\d+) sweeps, (\d+) fallbacks, (\d+) reused solves, (\d+) switched nodes", line
+    )
     assert counts and int(counts[1]) >= 1 and int(counts[2]) == 0
 
 

@@ -19,7 +19,7 @@ from mmqvi import (
 from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from oracles import flatten
 from mmqvi.linsolve import solve
-from mmqvi.policy_iteration import SystemCache, _check_impulse_paths, _stopping_metric
+from mmqvi.policy_iteration import SystemCache, _impulse_chains, _stopping_metric
 from mmqvi.solver import terminal_vector
 
 import mmqvi.linsolve
@@ -156,7 +156,7 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
     splittings = []
     splitting = mmqvi.linsolve.Splitting
     monkeypatch.setattr(
-        mmqvi.linsolve, "Splitting", lambda a: splittings.append(1) or splitting(a)
+        mmqvi.linsolve, "Splitting", lambda *a: splittings.append(1) or splitting(*a)
     )
     cache = SystemCache()
     v_next = terminal_vector(grid, p)
@@ -186,7 +186,7 @@ def test_inactive_impulse_direction_shares_the_factorization(
     first = toy_policy(toy_grid)
     # z at a d = 0 node flips: the policy differs, its matrix does not
     second = toy_policy(toy_grid, [("z", flatten(toy_grid, 0, 1), -1)])
-    assert not first.equals(second)
+    assert first.switched_nodes(second) == 1
     assert first.matrix_key() == second.matrix_key()
     (t1, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch
@@ -216,6 +216,20 @@ def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch
     assert t2.routes == ["fresh"] and t2.fallbacks == 0
     assert t2.sweeps[0] % mmqvi.linsolve.CHECK_EVERY == 0
     assert_matches_lu(toy_grid, toy_params, toy_stencils, second, values[1])
+
+
+def test_switched_counts_the_nodes_each_improvement_changes(
+    toy_grid, toy_params, toy_stencils, monkeypatch
+):
+    first = toy_policy(toy_grid)
+    second = toy_policy(toy_grid, [("la", 3, 0), ("z", 4, -1)])
+    policies = iter((first, second, second))
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: next(policies))
+    v_next = terminal_vector(toy_grid, toy_params)
+    # the second policy need not improve on the first: no monotonicity check
+    _, _, trace = iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next,
+                          PiterConfig(verification="off"))
+    assert trace.switched == [2, 0] and trace.converged_by == "policy-repeat"
 
 
 def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypatch):
@@ -292,8 +306,8 @@ def test_verifier_names_the_failing_node(grid6, params6, stencils6):
 
 def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):
     pol = cycle_policy(toy_grid)
-    ok, failing = _check_impulse_paths(toy_grid, pol)
-    assert not ok
+    ok, failing, chains = _impulse_chains(toy_grid, pol)
+    assert not ok and chains is None
     assert failing in (flatten(toy_grid, 1, 1), flatten(toy_grid, 1, 2))
     v_next = terminal_vector(toy_grid, toy_params)
     system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
@@ -312,8 +326,16 @@ def test_impulse_everywhere_passes_after_cap_demotion(
     pol = apply_caps(
         toy_grid, np.zeros(m), np.zeros(m), np.ones(m), np.ones(m)
     )
-    ok, failing = _check_impulse_paths(toy_grid, pol)
+    ok, failing, (starts, ends, (k, row)) = _impulse_chains(toy_grid, pol)
     assert ok and failing is None
+    # each chain climbs to the top level at its own alpha, passing every
+    # impulse node from its start up
+    n_alpha = toy_grid.n_alpha
+    np.testing.assert_array_equal(starts, np.flatnonzero(pol.d))
+    np.testing.assert_array_equal(ends, m - n_alpha + starts % n_alpha)
+    for c, start in enumerate(starts):
+        np.testing.assert_array_equal(np.sort(row[k == c]),
+                                      np.arange(start, ends[c], n_alpha))
     v_next = terminal_vector(toy_grid, toy_params)
     system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
     assert verify_theorem_conditions(toy_grid, pol, system).sound

@@ -67,6 +67,8 @@ def test_solution_layout_and_metadata(fast_sol, fast_spec):
         assert 1 <= entry["iterations"] <= 50
         assert entry["min_increment"] >= -1e-9
         assert entry["converged_by"] in ("metric", "policy-repeat")
+        # every solve after the first follows a policy that switched a node
+        assert entry["switched_nodes"] >= entry["iterations"] - 1
 
 
 def test_reused_factorizations_reproduce_fresh_solves(params6):
@@ -244,6 +246,8 @@ def test_traced_names_resolve():
 def test_one_solve_builds_the_row_types_once_and_rescans_nothing(
     fast_params, fast_spec, monkeypatch
 ):
+    # the solve path gathers its splittings from the split row types: it
+    # assembles no A(P), scans none, and never needs the LU fallback
     calls = Counter()
 
     def counted(name, fn):
@@ -253,7 +257,8 @@ def test_one_solve_builds_the_row_types_once_and_rescans_nothing(
         return wrapper
 
     for owner, name in ((mmqvi.scheme, "row_types"), (Policy, "validate"),
-                        (mmqvi.policy_iteration, "verify_theorem_conditions")):
+                        (mmqvi.policy_iteration, "verify_theorem_conditions"),
+                        (mmqvi.scheme, "assemble_system"), (mmqvi.linsolve, "solve")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     sol = solve_backward(fast_params, fast_spec)
     assert calls == {"row_types": 1}

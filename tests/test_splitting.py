@@ -1,4 +1,5 @@
-"""Policy evaluation by regular splitting: monotone sweeps, the residual
+"""Policy evaluation by regular splitting: the splitting gathered from the
+split row types, impulse-chain closure, monotone sweeps, the residual
 contract, agreement with sparse LU, and the bounded LU fallback."""
 
 import math
@@ -13,7 +14,12 @@ from hypothesis import strategies as hst  # noqa: E402
 import mmqvi  # noqa: E402
 import mmqvi.linsolve  # noqa: E402
 import mmqvi.policy_iteration  # noqa: E402
-from conftest import SPLIT_MATCH_FACTOR, quiet_params, split_match_ratio  # noqa: E402
+from conftest import (  # noqa: E402
+    SPLIT_MATCH_FACTOR,
+    quiet_params,
+    residual_rounding,
+    split_match_ratio,
+)
 from mmqvi import (  # noqa: E402
     GridSpec,
     PiterConfig,
@@ -25,6 +31,7 @@ from mmqvi import (  # noqa: E402
     solve_backward,
 )
 from mmqvi.linsolve import SolveError, Splitting, residual_norm, solve  # noqa: E402
+from mmqvi.policy_iteration import SystemCache  # noqa: E402
 from mmqvi.solver import terminal_vector  # noqa: E402
 
 TOL = PiterConfig().solver_tol
@@ -40,12 +47,14 @@ def admissible(grid, la, lb, d, zbit):
 
 
 @hst.composite
-def step_systems(draw):
+def step_problems(draw, min_q_bar=1):
     """A small random valid model, grid and policy in clamp mode (so A(P) is
-    an M-matrix) and its step system; returns (A, b, seed)."""
+    an M-matrix); returns (grid, p, st, policy, seed).  When q_bar >= 2 the
+    policy impulses from q = +/-2 through q = +/-1 at one alpha node, an
+    impulse chain of 2 links."""
     rate = hst.floats(0.1, 5.0)
     alpha_cap = draw(hst.floats(0.5, 5.0))
-    q_bar = draw(hst.integers(1, 3))
+    q_bar = draw(hst.integers(min_q_bar, 3))
     p = quiet_params(
         T=draw(hst.floats(0.05, 5.0)), sigma=draw(hst.floats(1e-3, 1.0)),
         theta=0.1, delta=draw(hst.floats(0.0, 0.05)), eps=0.005,
@@ -62,8 +71,17 @@ def step_systems(draw):
     seed = draw(hst.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     la, lb, d, zbit = rng.integers(0, 2, (4, grid.n_nodes))
+    if q_bar >= 2:
+        q = rng.choice([1, -1]) * np.array([1, 2])
+        d[(q + q_bar) * grid.n_alpha + rng.integers(grid.n_alpha)] = 1
     policy = admissible(grid, la, lb, d, zbit)
-    st = build_stencils(grid, p, "clamp")
+    return grid, p, build_stencils(grid, p, "clamp"), policy, seed
+
+
+@hst.composite
+def step_systems(draw):
+    """The step system of ``step_problems``; returns (A, b, seed)."""
+    grid, p, st, policy, seed = draw(step_problems())
     system = assemble_system(grid, p, st, policy, terminal_vector(grid, p))
     return system.matrix, system.rhs, seed
 
@@ -76,7 +94,7 @@ def test_sweeps_rise_from_a_subsolution_to_the_lu_solution(case):
     # A x0 = b - c <= b with c >= 0: x0 is a subsolution
     c = np.random.default_rng(seed).uniform(0.0, 10.0, b.size)
     x0 = solve(a, b - c).solution
-    split = Splitting(a)
+    split = Splitting.of(a)
     assert split.n_part.min() >= 0.0  # a regular splitting
 
     x = x0
@@ -88,9 +106,52 @@ def test_sweeps_rise_from_a_subsolution_to_the_lu_solution(case):
     report = split.solve(b, TOL, x0)
     assert report.method == "splitting"
     assert (report.solution - x0).min() >= -10.0 * TOL
-    assert report.residual_norm == residual_norm(a, b, report.solution)
+    assert abs(report.residual_norm - residual_norm(a, b, report.solution)) <= (
+        residual_rounding(a, b, report.solution)
+    )
     assert report.residual_norm <= TOL * (1.0 + np.abs(b).max())
     assert split_match_ratio(report.solution, exact, b) <= SPLIT_MATCH_FACTOR
+
+
+def gathered_splitting(grid, p, st, policy, verify=True):
+    """The splitting a solve's cache gathers for ``policy``."""
+    cache = SystemCache()
+    cache.refresh(grid, p, st, policy, policy.matrix_key(), verify)
+    return cache.split
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_problems(min_q_bar=2))
+def test_gathered_closed_sweeps_rise_to_the_lu_solution(case):
+    grid, p, st, policy, seed = case
+    system = assemble_system(grid, p, st, policy, terminal_vector(grid, p))
+    a, b = system.matrix, system.rhs
+    split = gathered_splitting(grid, p, st, policy)
+    # M - N is A(P) entry for entry, and a chain of 2 links is closed
+    assert (split.matrix() - a).nnz == 0
+    starts, _, (k, _) = split.chains
+    np.testing.assert_array_equal(starts, np.flatnonzero(system.impulse_mask))
+    assert np.bincount(k).max() >= 2
+
+    exact = solve(a, b).solution
+    c = np.random.default_rng(seed).uniform(0.0, 10.0, b.size)
+    x0 = solve(a, b - c).solution  # a subsolution
+    x = x0
+    for _ in range(3 * mmqvi.linsolve.CHECK_EVERY):
+        x_new = split.sweep(x, b)
+        assert (x_new - x).min() >= -10.0 * TOL
+        r = a @ x_new - b
+        assert np.abs(r[system.impulse_mask]).max() <= residual_rounding(a, b, x_new)
+        x = x_new
+
+    report = split.solve(b, TOL, x0)
+    assert report.method == "splitting"
+    assert (report.solution - x0).min() >= -10.0 * TOL
+    assert residual_norm(a, b, report.solution) <= TOL * (1.0 + np.abs(b).max())
+    assert split_match_ratio(report.solution, exact, b) <= SPLIT_MATCH_FACTOR
+    # verification changes the report, not the splitting
+    unverified = gathered_splitting(grid, p, st, policy, verify=False)
+    np.testing.assert_array_equal(unverified.solve(b, TOL, x0).solution, report.solution)
 
 
 def test_each_solve_sweeps_from_the_current_iterate(fast_params, fast_spec, monkeypatch):
