@@ -23,7 +23,7 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +51,8 @@ from .solver import (
 
 log = logging.getLogger("mmqvi")
 
-MODEL_KEYS = {
-    "T": float,
-    "sigma": float,
-    "theta": float,
-    "delta": float,
-    "eps": float,
-    "lambda_a": float,
-    "lambda_b": float,
-    "k": float,
-    "rho": float,
-    "gamma_a": float,
-    "gamma_b": float,
-    "phi": float,
-    "psi": float,
-    "q_bar": int,
-    "alpha_cap": float,
-}
+# field types are strings under ``from __future__ import annotations``
+MODEL_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(ModelParams)}
 
 GRID_KEYS = {"n_time_steps": int, "n_alpha_points": int}
 

@@ -61,10 +61,6 @@ class SolveReport:
     residual_norm: float
 
 
-def residual_norm(matrix, rhs: np.ndarray, v: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix @ v - rhs))) if rhs.size else 0.0
-
-
 def _contract_bound(rhs: np.ndarray, tol: float) -> float:
     return tol * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
 

@@ -300,7 +300,6 @@ def _replay(
     y0: tuple[float, float, float, int],
     n_paths: int,
     rng: np.random.Generator,
-    null_policy: bool,
 ) -> tuple[np.ndarray, _ReplayCounts]:
     """Replay the policy on ``n_paths`` paths at once.
 
@@ -320,11 +319,7 @@ def _replay(
     dt = grid.d_t
     n_steps = len(sol.policies)
 
-    if null_policy:
-        zeros = np.zeros(grid.n_nodes, dtype=np.int8)
-        pols = [(zeros, zeros, zeros, zeros)] * n_steps
-    else:
-        pols = [(pol.la, pol.lb, pol.d, pol.z) for pol in sol.policies]
+    pols = [(pol.la, pol.lb, pol.d, pol.z) for pol in sol.policies]
 
     q0 = int(y0[3])
     if abs(q0) > q_bar:
@@ -477,7 +472,6 @@ def estimate_performance(
     y0: tuple[float, float, float, int],
     n_paths: int,
     seed,
-    null_policy: bool = False,
 ) -> EstimateReport:
     """Mean realized objective over paths versus the reconstructed value.
 
@@ -491,7 +485,7 @@ def estimate_performance(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
-    objectives, counts = _replay(p, sol, y0, n_paths, rng, null_policy)
+    objectives, counts = _replay(p, sol, y0, n_paths, rng)
 
     mean = float(objectives.mean())
     stderr = float(objectives.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

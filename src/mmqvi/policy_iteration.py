@@ -81,12 +81,12 @@ class PiterConfig:
 class PiterTrace:
     """Per-iteration diagnostics: policy digests, stopping metrics, the
     smallest entrywise increment of each new iterate (negative = decrease),
-    the route of each solve (``fresh``: splitting gathered and verified;
-    ``reused``: the cached splitting and report), the splitting sweeps of
+    the route of each solve (``fresh``: report and splitting gathered;
+    ``reused``: the cached report and splitting), the splitting sweeps of
     each solve, the number of solves that fell back to sparse LU, the
-    verification report of each solved system (none at verification off),
-    and for every improvement after the first the number of nodes whose
-    (la, lb, d, z) changed from the previous one.
+    verification report of each solved system, and for every improvement
+    after the first the number of nodes whose (la, lb, d, z) changed from
+    the previous one.
     """
 
     policy_digests: list[str] = field(default_factory=list)
@@ -134,57 +134,39 @@ class VerificationReport:
         return not self.hard_failures
 
 
-@dataclass(eq=False)
 class SystemCache:
-    """Split row types of one problem and the splitting of the last solved A(P).
+    """Split row types of one problem and the system of the last solved policy.
 
-    ``owner`` is the (grid, model, stencils) the cache was built for.  Once
-    per owner, ``scheme.row_types(*owner)`` is split in place
-    (``linsolve.split``) into its ``band`` pieces and off-band ``n_types``,
-    and ``checks`` = ``_row_checks`` of those; no other copy of the row
-    types is kept.  The one entry is ``key`` = ``P.matrix_key()``,
-    ``report`` (None when unverified) and ``split``, the
-    ``linsolve.Splitting`` of A(P).
+    ``problem`` is the (grid, model, stencils) the cache is built for: its
+    ``scheme.row_types`` are split in place (``linsolve.split``) into their
+    ``band`` pieces and off-band ``n_types``, and ``checks`` = ``_row_checks``
+    of those; no other copy of the row types is kept.  The one entry is
+    ``rows``, the ``policy_rows`` selection that fixes A(P), with its
+    verification ``report`` and ``split``, the ``linsolve.Splitting`` of A(P).
     """
 
-    key: bytes | None = None
-    owner: tuple = (None, None, None)
-    report: "VerificationReport | None" = None
-    split: linsolve.Splitting | None = None
-    checks: np.ndarray | None = None
-    band: tuple | None = None
-    n_types: sp.csr_matrix | None = None
+    def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
+        self.problem = (grid, p, st)
+        self.band, self.n_types = linsolve.split(scheme.row_types(grid, p, st))
+        self.checks = _row_checks(self.band, self.n_types)
+        self.rows = self.report = self.split = None
 
-    def _owned_by(self, grid, p, st) -> bool:
-        return all(a is b for a, b in zip(self.owner, (grid, p, st)))
-
-    def holds(self, grid, p, st, key: bytes, verify: bool) -> bool:
-        """Whether the entry splits A(P) for ``key`` on this problem and,
-        when ``verify`` is set, was verified."""
-        return (
-            self.key == key
-            and self._owned_by(grid, p, st)
-            and (self.report is not None or not verify)
-        )
-
-    def refresh(self, grid, p, st, policy: Policy, key: bytes, verify: bool) -> None:
-        """Verify and gather the splitting of A(P) for ``key``.  A new owner
-        rebuilds the split row types and drops the entry; otherwise the entry
-        changes only when verification succeeds.  Impulse chains are closed
-        only when the walk finds every one ending in a continuation node."""
-        if not self._owned_by(grid, p, st):
-            self.key = self.report = self.split = None
-            self.band, self.n_types = linsolve.split(scheme.row_types(grid, p, st))
-            self.checks = _row_checks(self.band, self.n_types)
-            self.owner = (grid, p, st)
+    def load(self, policy: Policy) -> str:
+        """Make the entry A(P)'s and return its route: ``reused`` when the
+        entry already selects the rows of ``policy``, else ``fresh`` after
+        gathering the report and splitting.  Impulse chains are closed only
+        when the walk finds every one ending in a continuation node."""
+        grid, _, st = self.problem
         rows = scheme.policy_rows(grid, policy)
+        if np.array_equal(rows, self.rows):
+            return "reused"
         path_ok, failing_node, chains = _impulse_chains(grid, policy)
-        report = None
-        if verify:
-            report = _verified(_report(self.checks[:, rows], *policy_masks(grid, st, policy),
-                                       st.mode, (path_ok, failing_node)))
-        self.key, self.report, self.split = key, report, linsolve.Splitting(
-            tuple(piece[rows] for piece in self.band), self.n_types[rows], chains)
+        self.report = _report(self.checks[:, rows], *policy_masks(grid, st, policy),
+                              st.mode, (path_ok, failing_node))
+        self.split = linsolve.Splitting(tuple(piece[rows] for piece in self.band),
+                                        self.n_types[rows], chains)
+        self.rows = rows
+        return "fresh"
 
 
 def improve_policy(
@@ -311,12 +293,6 @@ def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode:
     )
 
 
-def _verified(report: VerificationReport) -> VerificationReport:
-    if not report.sound:
-        raise VerificationError("; ".join(report.hard_failures), report)
-    return report
-
-
 def _impulse_chains(grid: Grid, policy: Policy):
     """Walk z-directed inventory neighbors from every d = 1 node.
 
@@ -373,21 +349,26 @@ def iterate(
     budget is exhausted or (at verification per-step and above) when an
     iterate decreases by more than 10x the solver tolerance.
 
-    A(P) depends on the policy alone.  A solve whose policy has the matrix
-    key of the entry in ``cache`` reuses its report and splitting and builds
-    only the right side; any other verifies A(P) and gathers its splitting
-    from the split row types.  Each solve sweeps the splitting from the
-    current iterate; a solve whose sweeps miss the residual contract within
-    ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
-    successive calls to carry the split row types and the splitting across
-    time steps.
+    A(P) is fixed by the policy's row selection.  A solve whose policy
+    selects the rows of the entry in ``cache`` reuses its report and
+    splitting and builds only the right side; any other gathers both from
+    the split row types.  At verification per-step and above, every solve
+    raises VerificationError when its report has a hard failure.  Each solve
+    sweeps the splitting from the current iterate; a solve whose sweeps miss
+    the residual contract within ``linsolve.SWEEP_BUDGET`` falls back to
+    sparse LU.  Without ``cache`` one is built for this problem; pass one
+    cache to successive calls to carry the split row types and the splitting
+    across time steps.  Raises ValueError for a cache built for another
+    grid, model or stencils.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
     prev_policy: Policy | None = None
     if cache is None:
-        cache = SystemCache()
+        cache = SystemCache(grid, p, st)
+    elif cache.problem != (grid, p, st):
+        raise ValueError("cache was built for another grid, model or stencils")
     verify = cfg.verification != "off"
 
     for _ in range(cfg.max_iter):
@@ -398,11 +379,9 @@ def iterate(
                 trace.converged_by = "policy-repeat"
                 return v, prev_policy, trace
 
-        key = policy.matrix_key()
-        route = "reused"
-        if not cache.holds(grid, p, st, key, verify):
-            route = "fresh"
-            cache.refresh(grid, p, st, policy, key, verify)
+        route = cache.load(policy)
+        if verify and not cache.report.sound:
+            raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
         rhs = scheme.assemble_rhs(grid, p, policy, v_next)
         report = cache.split.solve(rhs, cfg.solver_tol, v)
         v_new = report.solution
@@ -414,8 +393,7 @@ def iterate(
         trace.routes.append(route)
         trace.sweeps.append(report.iterations)
         trace.fallbacks += report.method != "splitting"
-        if cache.report is not None:
-            trace.reports.append(cache.report)
+        trace.reports.append(cache.report)
 
         if verify and increment < -10.0 * cfg.solver_tol:
             raise PolicyIterationError(

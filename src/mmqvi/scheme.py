@@ -80,18 +80,6 @@ class Policy:
             h.update(np.ascontiguousarray(arr, dtype=np.int8).tobytes())
         return h.hexdigest()[:16]
 
-    def matrix_key(self) -> bytes:
-        """Bytes that determine A(P): la, lb, d, and z where d = 1.
-
-        Two policies with equal keys assemble the same matrix, impulse mask
-        and boundary rows, and pass or fail the same verification.
-        """
-        active_z = np.where(self.d == 1, self.z, 0)
-        return b"".join(
-            np.ascontiguousarray(arr, dtype=np.int8).tobytes()
-            for arr in (self.la, self.lb, self.d, active_z)
-        )
-
     def switched_nodes(self, other: "Policy") -> int:
         """Number of nodes whose (la, lb, d, z) differ from ``other``'s;
         0 when the two policies are equal."""
@@ -293,8 +281,9 @@ def assemble_system(
 ) -> SparseSystem:
     """Assemble A(P) and b(P) for one implicit step under ``policy``.
 
-    A(P) is the ``policy_rows`` selection from ``row_types`` and depends only
-    on ``policy.matrix_key()``; ``v_next`` enters b(P) alone.
+    A(P) is the ``policy_rows`` selection from ``row_types``, and two
+    policies with equal selections assemble the same system; ``v_next``
+    enters b(P) alone.
     """
     policy.validate(grid)
     return SparseSystem(row_types(grid, p, st)[policy_rows(grid, policy)],

@@ -137,7 +137,7 @@ def solve_backward(
     per_level = []
     # The policy that ends one level usually starts the next, so its
     # splitting carries over.
-    cache = SystemCache()
+    cache = SystemCache(grid, p, st)
 
     for n in range(n_levels - 1, -1, -1):
         try:
@@ -163,12 +163,8 @@ def solve_backward(
                 "fallbacks": trace.fallbacks,
                 "reused_solves": trace.routes.count("reused"),
                 "switched_nodes": sum(trace.switched),
-                "min_interior_margin": min(
-                    (r.min_interior_margin for r in trace.reports), default=None
-                ),
-                "min_boundary_margin": min(
-                    (r.min_boundary_margin for r in trace.reports), default=None
-                ),
+                "min_interior_margin": min(r.min_interior_margin for r in trace.reports),
+                "min_boundary_margin": min(r.min_boundary_margin for r in trace.reports),
             }
         )
         if n % 50 == 0:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mmqvi
-from mmqvi import GridSpec, ModelParams, ParameterWarning
+from mmqvi import GridSpec, ModelParams, ParameterWarning, apply_caps
 from oracles import continuation_row, impulse_row, unflatten
 
 
@@ -38,6 +38,11 @@ def split_match_ratio(v, exact, rhs) -> float:
     return float(np.abs(v - exact).max()) / bound
 
 
+def residual_norm(a, b, x) -> float:
+    """||a x - b||_inf, summed in CSR column order."""
+    return float(np.max(np.abs(a @ x - b)))
+
+
 def residual_rounding(a, b, x) -> float:
     """Largest rounding gap between two evaluations of ||a x - b||_inf that
     sum the same terms in different orders (a splitting sums M x - N x - b,
@@ -45,6 +50,15 @@ def residual_rounding(a, b, x) -> float:
     terms = abs(a) @ np.abs(x) + np.abs(b)
     n = int(np.diff(a.indptr).max()) + 2
     return 2.0 * n * np.finfo(float).eps * float(terms.max())
+
+
+def admissible(grid, la, lb, d, zbit):
+    """A policy whose impulses all point toward q = 0, where d = 0, so every
+    impulse chain reaches a continuation node and A(P) passes verification."""
+    q = grid.q_of_node
+    d = d * (q != 0)
+    z = np.where(d == 1, np.where(q > 0, -1, 1), 2 * zbit - 1)
+    return apply_caps(grid, la, lb, z, d)
 
 
 def quiet_params(**kwargs) -> ModelParams:

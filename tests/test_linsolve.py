@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import mmqvi.linsolve
-from conftest import residual_rounding
+from conftest import residual_norm, residual_rounding
 from mmqvi import SingularSystemError, SolveError
-from mmqvi.linsolve import Splitting, residual_norm, solve
+from mmqvi.linsolve import Splitting, solve
 
 
 def random_dominant_system(n, seed, margin=1.0):
@@ -148,9 +148,3 @@ def test_iterative_failure_carries_best_iterate():
     assert err.row == int(np.argmax(r)) and err.residual_norm == r[err.row]
     assert f"at row {err.row}" in str(err)
 
-
-def test_residual_norm_helper():
-    a = sp.eye(3, format="csr") * 2.0
-    v = np.array([1.0, 2.0, 3.0])
-    b = np.array([2.0, 4.0, 7.0])
-    assert residual_norm(a, b, v) == pytest.approx(1.0)

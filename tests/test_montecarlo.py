@@ -6,6 +6,7 @@ deterministic degenerate model where the realized objective has a closed
 form.
 """
 
+import dataclasses
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy import stats
 
 from mmqvi import (
     GridSpec,
+    Policy,
     SimulationError,
     estimate_performance,
     simulate_path,
@@ -144,7 +146,10 @@ def test_replayed_policy_is_consistent_with_the_pde_value(
 def test_solved_policy_beats_doing_nothing(params6, sol6):
     y0 = (0.0, 100.0, 0.0, 0)
     active = estimate_performance(params6, sol6, y0, 500, seed=7)
-    idle = estimate_performance(params6, sol6, y0, 500, seed=7, null_policy=True)
+    zeros = np.zeros(sol6.grid.n_nodes, dtype=np.int8)
+    null = Policy(zeros, zeros, zeros, zeros)
+    idle_sol = dataclasses.replace(sol6, policies=[null] * len(sol6.policies))
+    idle = estimate_performance(params6, idle_sol, y0, 500, seed=7)
     # From flat inventory the null policy never trades: every path realizes
     # exactly zero, which also exercises the zero-stderr guard.
     assert idle.mean == 0.0

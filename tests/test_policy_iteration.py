@@ -1,5 +1,7 @@
 """Policy iteration: improvement, verification, and stopping behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from oracles import flatten
 from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _impulse_chains, _stopping_metric
+from mmqvi.scheme import policy_rows
 from mmqvi.solver import terminal_vector
 
 import mmqvi.linsolve
@@ -158,7 +161,7 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
     monkeypatch.setattr(
         mmqvi.linsolve, "Splitting", lambda *a: splittings.append(1) or splitting(*a)
     )
-    cache = SystemCache()
+    cache = SystemCache(grid, p, st)
     v_next = terminal_vector(grid, p)
     v0 = v_next - 1e3  # far below the step's solution: every solve increases
     traces = []
@@ -180,34 +183,37 @@ def assert_matches_lu(grid, p, st, policy, v):
     assert split_match_ratio(v, exact, system.rhs) <= SPLIT_MATCH_FACTOR
 
 
+# toy nodes (3 alpha x 3 q): 4 is (alpha 1, q 0), the impulse node of
+# toy_policy; 3 is its continuation neighbor (alpha 0, q 0)
 def test_inactive_impulse_direction_shares_the_factorization(
     toy_grid, toy_params, toy_stencils, monkeypatch
 ):
     first = toy_policy(toy_grid)
-    # z at a d = 0 node flips: the policy differs, its matrix does not
-    second = toy_policy(toy_grid, [("z", flatten(toy_grid, 0, 1), -1)])
-    assert first.switched_nodes(second) == 1
-    assert first.matrix_key() == second.matrix_key()
-    (t1, t2), splittings = solve_twice(
-        toy_grid, toy_params, toy_stencils, first, second, monkeypatch
-    )
-    assert splittings == 1
-    assert t1.routes == ["fresh"] and t2.routes == ["reused"]
-    assert t2.reports[0] is t1.reports[0]
+    # controls that do not act: z at a d = 0 node, and the quote bits at an
+    # impulse node.  The policy differs, its matrix does not.
+    for edit in (("z", 3, -1), ("la", 4, 0), ("lb", 4, 0)):
+        second = toy_policy(toy_grid, [edit])
+        assert first.switched_nodes(second) == 1
+        np.testing.assert_array_equal(policy_rows(toy_grid, first),
+                                      policy_rows(toy_grid, second))
+        (t1, t2), splittings = solve_twice(
+            toy_grid, toy_params, toy_stencils, first, second, monkeypatch
+        )
+        assert splittings == 1
+        assert t1.routes == ["fresh"] and t2.routes == ["reused"]
+        assert t2.reports[0] is t1.reports[0]
 
 
-# toy nodes (3 alpha x 3 q): 4 is (alpha 1, q 0), the impulse node of
-# toy_policy; 3 is its continuation neighbor (alpha 0, q 0)
 @pytest.mark.parametrize(
     "edit",
-    [("la", 4, 0), ("lb", 4, 0), ("d", 3, 1), ("z", 4, -1)],
+    [("la", 3, 0), ("lb", 3, 0), ("d", 3, 1), ("z", 4, -1)],
     ids=["la", "lb", "d", "active-z"],
 )
 def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit):
-    # A one-row change of A(P) assembles, verifies and splits it anew.
+    # A one-row change of A(P) verifies and splits it anew.
     first = toy_policy(toy_grid)
     second = toy_policy(toy_grid, [edit])
-    assert first.matrix_key() != second.matrix_key()
+    assert not np.array_equal(policy_rows(toy_grid, first), policy_rows(toy_grid, second))
     values = []
     (_, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
@@ -236,36 +242,46 @@ def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypat
     first = toy_policy(toy_grid)
     # node 7 (alpha 1, q 1) impulses down into node 4, which impulses up
     second = toy_policy(toy_grid, [("d", 7, 1), ("z", 7, -1)])
-    cache = SystemCache()
+    cache = SystemCache(toy_grid, toy_params, toy_stencils)
     v_next = terminal_vector(toy_grid, toy_params)
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: first)
     iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
-    split = cache.split
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: second)
-    with pytest.raises(VerificationError) as exc_info:
-        iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
-    assert not exc_info.value.report.path_ok
-    # the changed policy failed verification before the cache entry changed
-    assert cache.key == first.matrix_key() and cache.split is split
+    reports = []
+    for _ in range(2):
+        with pytest.raises(VerificationError) as exc_info:
+            iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+        reports.append(exc_info.value.report)
+    assert not reports[0].path_ok
+    # the repeat reuses the failing entry and checks its report again
+    assert reports[1] is reports[0] is cache.report
+    np.testing.assert_array_equal(cache.rows, policy_rows(toy_grid, second))
 
 
 def test_cache_entries_hold_only_for_their_problem_and_checks(
-    toy_grid, toy_params, toy_stencils, monkeypatch
+    toy_grid, toy_params, toy_spec, toy_stencils, monkeypatch
 ):
     pol = toy_policy(toy_grid)
-    # an unverified entry is not reused by a verifying solve
-    (_, t2), splittings = solve_twice(
+    # an entry solved at verification off is reused by a verifying solve,
+    # which checks its report
+    (t1, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch,
         cfgs=(PiterConfig(verification="off"), PiterConfig()),
     )
-    assert splittings == 2 and t2.routes == ["fresh"] and len(t2.reports) == 1
-    # an entry built for other stencils is not reused (improve_policy still
-    # returns pol)
-    cache = SystemCache()
+    assert splittings == 1 and t2.routes == ["reused"] and t2.reports[0] is t1.reports[0]
+    # a cache built for another grid, model or stencils is refused
+    # (improve_policy still returns pol)
+    cache = SystemCache(toy_grid, toy_params, toy_stencils)
     v_next = terminal_vector(toy_grid, toy_params)
-    other = build_stencils(toy_grid, toy_params, "clamp")
-    for st, route in ((toy_stencils, "fresh"), (toy_stencils, "reused"), (other, "fresh")):
-        _, _, trace = iterate(toy_grid, toy_params, st, v_next - 1e3, v_next, cache=cache)
+    other_p = dataclasses.replace(toy_params, k=2.0 * toy_params.k)
+    for problem in ((build_grid(toy_params, toy_spec), toy_params, toy_stencils),
+                    (toy_grid, other_p, toy_stencils),
+                    (toy_grid, toy_params, build_stencils(toy_grid, toy_params, "clamp"))):
+        with pytest.raises(ValueError, match="another grid, model or stencils"):
+            iterate(*problem, v_next - 1e3, v_next, cache=cache)
+    for route in ("fresh", "reused"):
+        _, _, trace = iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next,
+                              cache=cache)
         assert trace.routes == [route]
 
 

@@ -1,6 +1,7 @@
 """One operator per grid: the shift maps and ``row_types`` against the scalar
-oracles, and the once-per-grid row checks against the verifier that scans
-an assembled A(P)."""
+oracles, the once-per-grid row checks against the verifier that scans an
+assembled A(P), and the reuse of one system by policies that select the same
+rows."""
 
 import dataclasses
 import re
@@ -9,16 +10,18 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
+import mmqvi.policy_iteration  # noqa: E402
 from mmqvi import (  # noqa: E402
     GridSpec,
-    VerificationError,
+    PiterConfig,
     apply_caps,
     assemble_system,
     build_grid,
     build_stencils,
+    iterate,
     row_types,
     verify_theorem_conditions,
 )
@@ -28,7 +31,7 @@ from mmqvi.linsolve import split  # noqa: E402
 from mmqvi.policy_iteration import SystemCache, _row_checks  # noqa: E402
 from mmqvi.solver import terminal_vector  # noqa: E402
 
-from conftest import quiet_params  # noqa: E402
+from conftest import admissible, quiet_params  # noqa: E402
 from oracles import (  # noqa: E402
     continuation_row,
     flatten,
@@ -115,11 +118,8 @@ def test_shift_maps_and_row_types_match_the_scalar_oracles(problem):
 
 def gathered_report(grid, p, st, policy):
     """The report a solve's cache builds from the once-per-grid row checks."""
-    cache = SystemCache()
-    try:
-        cache.refresh(grid, p, st, policy, policy.matrix_key(), True)
-    except VerificationError as exc:
-        return exc.report
+    cache = SystemCache(grid, p, st)
+    cache.load(policy)
     return cache.report
 
 
@@ -209,3 +209,54 @@ def test_row_checks_agree_with_the_toy_enumeration(
     np.testing.assert_allclose(margin, a[:, idx, idx] - np.abs(off).sum(axis=2),
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(row_sum, a.sum(axis=2), rtol=0, atol=1e-14)
+
+
+# ------------------------------------------------ reuse by row selection
+
+
+@hst.composite
+def policy_pairs(draw):
+    """A problem of ``problems``, a policy whose impulse chains all end, and
+    a copy with one of (la, lb, d, z) flipped at one or two nodes, drawn
+    among all nodes or among the impulse nodes.  Flips of z at d = 0 nodes
+    and of la or lb at impulse nodes keep the row selection."""
+    grid, p, st = draw(problems())
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    fields = rng.integers(0, 2, (4, grid.n_nodes))  # la, lb, d, z bit
+    first = admissible(grid, *fields)
+    pool = np.flatnonzero(first.d)
+    if not (pool.size and draw(hst.booleans())):
+        pool = np.arange(grid.n_nodes)
+    nodes = rng.choice(pool, min(draw(hst.integers(1, 2)), pool.size), replace=False)
+    fields[draw(hst.integers(0, 3)), nodes] ^= 1
+    return grid, p, st, first, admissible(grid, *fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy_pairs())
+def test_equal_row_selections_share_one_system(case):
+    grid, p, st, first, second = case
+    same = np.array_equal(scheme.policy_rows(grid, first), scheme.policy_rows(grid, second))
+    event("rows repeat" if same else "rows differ")
+    v_next = terminal_vector(grid, p)
+    a, b = (assemble_system(grid, p, st, pol, v_next) for pol in (first, second))
+    # equal selections assemble one system, so reusing its splitting is
+    # sound; unequal ones differ, so no splitting is gathered for nothing
+    assert ((a.matrix - b.matrix).nnz == 0) == same
+    if same:
+        np.testing.assert_array_equal(a.rhs, b.rhs)
+
+    # solved after ``first`` on a shared cache, ``second`` reuses exactly
+    # when its rows repeat and solves bit for bit as on a fresh cache
+    cfg = PiterConfig(verification="off")  # paper-mode A(P) may not be monotone
+    shared = SystemCache(grid, p, st)
+    solved = []
+    # sweeps on a non-monotone A(P) may overflow before the LU fallback
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        for pol, cache in ((first, shared), (second, shared),
+                           (second, SystemCache(grid, p, st))):
+            mp.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
+            solved.append(iterate(grid, p, st, v_next - 1.0, v_next, cfg, cache))
+    _, (v_shared, _, trace), (v_fresh, _, _) = solved
+    assert trace.routes == ["reused" if same else "fresh"]
+    np.testing.assert_array_equal(v_shared, v_fresh)

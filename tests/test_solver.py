@@ -92,9 +92,9 @@ def test_reused_factorizations_reproduce_fresh_solves(params6):
         assert e["min_interior_margin"] >= 1.0 - 1e-10
         assert e["min_boundary_margin"] > 0.0
 
+    # verification off gathers the same reports and only skips raising
     unverified = solve_backward(params6, spec, piter=PiterConfig(verification="off"))
-    for e in unverified.metadata["per_level"]:
-        assert e["min_interior_margin"] is None and e["min_boundary_margin"] is None
+    assert unverified.metadata["per_level"] == levels
 
 
 def test_policy_iteration_failures_name_the_level(fast_params, fast_spec):
