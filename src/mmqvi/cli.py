@@ -56,23 +56,27 @@ MODEL_KEYS = {f.name: {"float": float, "int": int}[f.type] for f in fields(Model
 
 GRID_KEYS = {"n_time_steps": int, "n_alpha_points": int}
 
-RUN_KEYS = {
-    "mode": str,
-    "out_dir": str,
-    "seed": int,
-    "n_paths": int,
-    "extrapolation": str,
-    "verify": str,
-    "piter_tol": float,
-    "piter_max_iter": int,
-    "refine_rounds": int,
-    "mc_x0": float,
-    "mc_s0": float,
-    "mc_alpha0": float,
-    "mc_q0": int,
-}
-
 RUN_MODES = ("solve", "validate", "refine", "baseline")
+
+# Every run setting and its default; the default's type is the key's parse type.
+RUN_DEFAULTS = {
+    "mode": "solve",
+    "out_dir": ".",
+    "seed": 7,
+    "n_paths": 10_000,
+    "extrapolation": "clamp",
+    "verify": PiterConfig.verification,
+    "piter_tol": PiterConfig.tol,
+    "piter_max_iter": PiterConfig.max_iter,
+    "refine_rounds": 3,
+    "mc_x0": 0.0,
+    "mc_s0": 100.0,
+    "mc_alpha0": 0.0,
+    "mc_q0": 0,
+}
+RUN_KEYS = {key: type(default) for key, default in RUN_DEFAULTS.items()}
+CONFIG_KEYS = MODEL_KEYS | GRID_KEYS | RUN_KEYS
+RUN_CHOICES = {"mode": RUN_MODES, "extrapolation": MODES, "verify": VERIFICATION_LEVELS}
 
 
 class ConfigError(ValueError):
@@ -95,7 +99,6 @@ class RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Flat key = value lines; comments and blanks skipped; keys unique."""
-    known = MODEL_KEYS | GRID_KEYS | RUN_KEYS
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,7 +107,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key: {key}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key: {key}")
@@ -115,7 +118,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _convert(key: str, value: str):
-    caster = (MODEL_KEYS | GRID_KEYS | RUN_KEYS)[key]
+    caster = CONFIG_KEYS[key]
     try:
         return caster(value)
     except ValueError:
@@ -125,7 +128,9 @@ def _convert(key: str, value: str):
 
 
 def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
-    """Assemble a validated run config from file keys plus flag overrides."""
+    """Assemble a validated run config from file keys plus flag overrides:
+    each run setting is its override unless that is None, else its file
+    value, else its ``RUN_DEFAULTS`` entry."""
     if raw:
         for key in (*MODEL_KEYS, *GRID_KEYS):
             if key not in raw:
@@ -136,73 +141,54 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
-            spec = GridSpec(
-                n_time_steps=_convert("n_time_steps", raw["n_time_steps"]),
-                n_alpha_points=_convert("n_alpha_points", raw["n_alpha_points"]),
-                alpha_cap=params.alpha_cap,
-                q_bar=params.q_bar,
-            )
+            spec = GridSpec(**{key: _convert(key, raw[key]) for key in GRID_KEYS},
+                            alpha_cap=params.alpha_cap, q_bar=params.q_bar)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:
         params = default_params()
         spec = default_grid_spec()
 
-    def setting(key: str, default):
+    def setting(key: str):
         if overrides.get(key) is not None:
             return overrides[key]
         if key in raw:
             return _convert(key, raw[key])
-        return default
+        return RUN_DEFAULTS[key]
 
-    mode = setting("mode", "solve")
-    if mode not in RUN_MODES:
-        raise ConfigError(f"bad value for key mode: {mode!r} (choose from {RUN_MODES})")
-    extrapolation = setting("extrapolation", "clamp")
-    if extrapolation not in MODES:
-        raise ConfigError(
-            f"bad value for key extrapolation: {extrapolation!r} (choose from {MODES})"
-        )
-    verify = setting("verify", "per-step")
-    if verify not in VERIFICATION_LEVELS:
-        raise ConfigError(
-            f"bad value for key verify: {verify!r} (choose from {VERIFICATION_LEVELS})"
-        )
+    run = {key: setting(key) for key in RUN_DEFAULTS}
+    for key, allowed in RUN_CHOICES.items():
+        if run[key] not in allowed:
+            raise ConfigError(f"bad value for key {key}: {run[key]!r} (choose from {allowed})")
     try:
         piter = PiterConfig(
-            tol=setting("piter_tol", 1e-8),
-            max_iter=setting("piter_max_iter", 200),
-            verification=verify,
+            tol=run["piter_tol"],
+            max_iter=run["piter_max_iter"],
+            verification=run["verify"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_paths = setting("n_paths", 10_000)
-    if n_paths < 1:
-        raise ConfigError(f"bad value for key n_paths: {n_paths} (must be >= 1)")
-    refine_rounds = setting("refine_rounds", 3)
-    if refine_rounds < 2:
+    if run["n_paths"] < 1:
+        raise ConfigError(f"bad value for key n_paths: {run['n_paths']} (must be >= 1)")
+    if run["refine_rounds"] < 2:
         raise ConfigError(
-            f"bad value for key refine_rounds: {refine_rounds} (must be >= 2)"
+            f"bad value for key refine_rounds: {run['refine_rounds']} (must be >= 2)"
         )
-    mc_q0 = setting("mc_q0", 0)
-    if abs(mc_q0) > params.q_bar:
-        raise ConfigError(f"bad value for key mc_q0: {mc_q0} (inventory cap is {params.q_bar})")
+    if abs(run["mc_q0"]) > params.q_bar:
+        raise ConfigError(
+            f"bad value for key mc_q0: {run['mc_q0']} (inventory cap is {params.q_bar})"
+        )
     return RunConfig(
         params=params,
         spec=spec,
         piter=piter,
-        extrapolation=extrapolation,
-        mode=mode,
-        out_dir=Path(setting("out_dir", ".")),
-        seed=setting("seed", 7),
-        n_paths=n_paths,
-        refine_rounds=refine_rounds,
-        mc_y0=(
-            setting("mc_x0", 0.0),
-            setting("mc_s0", 100.0),
-            setting("mc_alpha0", 0.0),
-            mc_q0,
-        ),
+        extrapolation=run["extrapolation"],
+        mode=run["mode"],
+        out_dir=Path(run["out_dir"]),
+        seed=run["seed"],
+        n_paths=run["n_paths"],
+        refine_rounds=run["refine_rounds"],
+        mc_y0=(run["mc_x0"], run["mc_s0"], run["mc_alpha0"], run["mc_q0"]),
     )
 
 
@@ -210,28 +196,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _write_node_csv(path: Path, grid: Grid, header: str, *columns) -> None:
+    """``header``, then one row per node in q-major order: alpha, q and the
+    node's entry of each column of formatted strings."""
+    cells = zip(map(_fmt, grid.alpha_of_node), map(str, grid.q_of_node), *columns, strict=True)
+    path.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+
+
 def write_value_csv(path: Path, grid: Grid, values: np.ndarray) -> None:
-    rows = ["alpha,q,v"]
-    v2d = values.reshape(grid.n_q, grid.n_alpha)
-    for jj, q in enumerate(grid.qs):
-        for ii, alpha in enumerate(grid.alphas):
-            rows.append(f"{_fmt(alpha)},{q},{_fmt(v2d[jj, ii])}")
-    path.write_text("\n".join(rows) + "\n")
+    _write_node_csv(path, grid, "alpha,q,v", map(_fmt, values))
 
 
 def write_policy_csv(path: Path, grid: Grid, policy: Policy) -> None:
-    rows = ["alpha,q,la,lb,d,z"]
-    shape = (grid.n_q, grid.n_alpha)
-    la = policy.la.reshape(shape)
-    lb = policy.lb.reshape(shape)
-    d = policy.d.reshape(shape)
-    z = policy.z.reshape(shape)
-    for jj, q in enumerate(grid.qs):
-        for ii, alpha in enumerate(grid.alphas):
-            rows.append(
-                f"{_fmt(alpha)},{q},{la[jj, ii]},{lb[jj, ii]},{d[jj, ii]},{z[jj, ii]}"
-            )
-    path.write_text("\n".join(rows) + "\n")
+    _write_node_csv(path, grid, "alpha,q,la,lb,d,z",
+                    *(map(str, col) for col in (policy.la, policy.lb, policy.d, policy.z)))
 
 
 def _solve(cfg: RunConfig):
@@ -352,9 +330,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=Path, help="flat key = value config file")
     parser.add_argument("--mode", choices=RUN_MODES)
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", dest="out_dir", type=Path, help="output directory")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--paths", type=int, help="Monte Carlo path count")
+    parser.add_argument("--paths", dest="n_paths", type=int, help="Monte Carlo path count")
     parser.add_argument("--extrapolation", choices=MODES)
     parser.add_argument("--verify", choices=VERIFICATION_LEVELS)
     args = parser.parse_args(argv)
@@ -371,15 +349,7 @@ def main(argv=None) -> int:
             raw = parse_config_text(
                 args.config.read_text(), source=str(args.config)
             )
-        overrides = {
-            "mode": args.mode,
-            "out_dir": args.out,
-            "seed": args.seed,
-            "n_paths": args.paths,
-            "extrapolation": args.extrapolation,
-            "verify": args.verify,
-        }
-        cfg = build_run_config(raw, overrides)
+        cfg = build_run_config(raw, vars(args))
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

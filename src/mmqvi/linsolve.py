@@ -186,9 +186,10 @@ class Splitting:
 
         Every ``CHECK_EVERY`` sweeps the contract is checked on A = M - N
         with the product N x that the next sweep reuses.  After
-        ``SWEEP_BUDGET`` sweeps without meeting it, the solve falls back to
-        ``solve`` (sparse LU) on A, whose report then records the sweeps
-        spent.
+        ``SWEEP_BUDGET`` sweeps without meeting it, or at the first check
+        whose residual is not finite (sweeps that diverge, as they may for A
+        not an M-matrix), the solve falls back to ``solve`` (sparse LU) on
+        A, whose report then records the sweeps spent.
         """
         rhs = _checked_rhs(self.n_part.shape, rhs)
         x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
@@ -196,6 +197,7 @@ class Splitting:
         budget = 0 if self._lu is None else SWEEP_BUDGET
         sub, diag, sup = self.band
         lift, nx = self._lift(rhs), self.n_part @ x
+        sweeps = 0
         for sweeps in range(1, budget + 1):
             x = self.sweep(x, rhs, nx, lift)
             nx = self.n_part @ x
@@ -207,4 +209,6 @@ class Splitting:
                 if res <= bound:
                     return SolveReport(solution=x, method="splitting",
                                        iterations=sweeps, residual_norm=res)
-        return replace(solve(self.matrix(), rhs, tol), iterations=budget)
+                if not np.isfinite(res):  # the sweeps diverged
+                    break
+        return replace(solve(self.matrix(), rhs, tol), iterations=sweeps)

@@ -108,22 +108,23 @@ class PiterTrace:
 class VerificationReport:
     """Outcome of the matrix/impulse-graph checks for one assembled system.
 
-    ``findings`` lists tolerated degradations (paper-mode extrapolation rows);
-    ``hard_failures`` lists conditions whose failure makes the solve unsound.
+    ``failing_node`` is the d = 1 node whose impulse chain ends nowhere (None
+    when all end), the margins the smallest interior and boundary dominance
+    margins (inf for no such rows).  Each failed condition adds one message:
+    a tolerated degradation (paper-mode extrapolation rows) to ``findings``,
+    any other to ``hard_failures``, which make the solve unsound.
     """
 
     mode: str
-    diag_positive: bool
-    z_matrix_ok: bool
-    interior_dominance_ok: bool
-    boundary_dominance_ok: bool
-    impulse_rows_ok: bool
-    path_ok: bool
     failing_node: int | None
     min_interior_margin: float
     min_boundary_margin: float
     findings: list[str] = field(default_factory=list)
     hard_failures: list[str] = field(default_factory=list)
+
+    @property
+    def path_ok(self) -> bool:
+        return self.failing_node is None
 
     @property
     def ok(self) -> bool:
@@ -160,9 +161,9 @@ class SystemCache:
         rows = scheme.policy_rows(grid, policy)
         if np.array_equal(rows, self.rows):
             return "reused"
-        path_ok, failing_node, chains = _impulse_chains(grid, policy)
+        _, failing_node, chains = _impulse_chains(grid, policy)
         self.report = _report(self.checks[:, rows], *policy_masks(grid, st, policy),
-                              st.mode, (path_ok, failing_node))
+                              st.mode, failing_node)
         self.split = linsolve.Splitting(tuple(piece[rows] for piece in self.band),
                                         self.n_types[rows], chains)
         self.rows = rows
@@ -180,11 +181,7 @@ def improve_policy(
 
 
 def verify_theorem_conditions(
-    grid: Grid,
-    policy: Policy,
-    system: SparseSystem,
-    z_tol: float = Z_TOL,
-    margin_tol: float = MARGIN_TOL,
+    grid: Grid, policy: Policy, system: SparseSystem
 ) -> VerificationReport:
     """Check the matrix and impulse-graph conditions behind convergence.
 
@@ -194,14 +191,15 @@ def verify_theorem_conditions(
     sum; and the z-directed chain from every d = 1 node must reach a d = 0
     node within 2*q_bar moves.  In paper extrapolation mode, Z/dominance
     violations confined to extrapolated rows are reported as findings rather
-    than failures.  The row conditions are read off ``system.matrix`` itself.
+    than failures.  The row conditions are read off ``system.matrix`` itself,
+    at the module tolerances ``Z_TOL`` and ``MARGIN_TOL``.
     """
-    checks = _row_checks(*linsolve.split(system.matrix.tocsr(copy=True)), z_tol)
+    checks = _row_checks(*linsolve.split(system.matrix.tocsr(copy=True)))
     return _report(checks, system.impulse_mask, system.boundary_rows, system.mode,
-                   _impulse_chains(grid, policy)[:2], z_tol, margin_tol)
+                   _impulse_chains(grid, policy)[1])
 
 
-def _row_checks(band, n_part: sp.csr_matrix, z_tol: float = Z_TOL) -> np.ndarray:
+def _row_checks(band, n_part: sp.csr_matrix) -> np.ndarray:
     """Per-row (diagonal, positive off-diagonal flag, dominance margin, row
     sum) of a matrix ``linsolve.split`` into ``band`` and ``n_part``, as a
     4 x n_rows array; a stack of row blocks is checked row by row."""
@@ -209,31 +207,31 @@ def _row_checks(band, n_part: sp.csr_matrix, z_tol: float = Z_TOL) -> np.ndarray
     n = diag.size
     rows = np.repeat(np.arange(n), np.diff(n_part.indptr))
     off = n_part.data  # = -A off the band
-    pos_off = ((sub > z_tol) | (sup > z_tol)
-               | (np.bincount(rows[off < -z_tol], minlength=n) > 0))
+    pos_off = ((sub > Z_TOL) | (sup > Z_TOL)
+               | (np.bincount(rows[off < -Z_TOL], minlength=n) > 0))
     margin = diag - np.abs(sub) - np.abs(sup) - np.bincount(rows, np.abs(off), minlength=n)
     row_sums = sub + diag + sup - np.bincount(rows, off, minlength=n)
     return np.stack([diag, pos_off, margin, row_sums])
 
 
 def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode: str,
-            path: tuple[bool, int | None], z_tol: float = Z_TOL,
-            margin_tol: float = MARGIN_TOL) -> VerificationReport:
+            failing_node: int | None) -> VerificationReport:
     """Verification report of A(P) from the ``_row_checks`` of its rows, its
     impulse mask and boundary rows (as ``SparseSystem`` holds them), the
-    stencil mode and the impulse-chain walk ``path`` = (path_ok,
-    failing_node)."""
+    stencil mode and the ``failing_node`` of the impulse-chain walk; one
+    message per failed condition."""
     diag, pos_off, margin, row_sums = checks
-    findings: list[str] = []
-    hard: list[str] = []
+    interior = ~impulse & ~boundary
+    min_interior = float(margin[interior].min()) if interior.any() else np.inf
+    min_boundary = float(margin[boundary].min()) if boundary.any() else np.inf
+    report = VerificationReport(mode, failing_node, min_interior, min_boundary)
+    findings, hard = report.findings, report.hard_failures
 
-    diag_positive = bool(np.all(diag > 0))
-    if not diag_positive:
+    if not np.all(diag > 0):
         hard.append(f"nonpositive diagonal at row {int(np.argmin(diag))}")
 
     pos_off_rows = np.flatnonzero(pos_off)
-    z_matrix_ok = pos_off_rows.size == 0
-    if not z_matrix_ok:
+    if pos_off_rows.size:
         outside = np.setdiff1d(pos_off_rows, np.flatnonzero(boundary))
         if mode == "paper" and outside.size == 0:
             findings.append(
@@ -243,18 +241,12 @@ def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode:
             where = outside[0] if outside.size else pos_off_rows[0]
             hard.append(f"positive off-diagonal entry on row {int(where)}")
 
-    interior = ~impulse & ~boundary
-    min_interior = float(margin[interior].min()) if interior.any() else np.inf
-    min_boundary = float(margin[boundary].min()) if boundary.any() else np.inf
-
-    interior_dominance_ok = min_interior >= 1.0 - margin_tol
-    if not interior_dominance_ok:
+    if not min_interior >= 1.0 - MARGIN_TOL:
         hard.append(
             f"interior dominance margin {min_interior:.3e} < 1 at row "
             f"{int(np.flatnonzero(interior)[np.argmin(margin[interior])])}"
         )
-    boundary_dominance_ok = min_boundary > 0.0
-    if not boundary_dominance_ok:
+    if not min_boundary > 0.0:
         row = int(np.flatnonzero(boundary)[np.argmin(margin[boundary])])
         msg = f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row {row}"
         if mode == "paper":
@@ -262,35 +254,16 @@ def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode:
         else:
             hard.append(msg)
 
-    impulse_rows_ok = True
-    if impulse.any():
-        impulse_rows_ok = bool(
-            np.all(np.abs(row_sums[impulse]) <= z_tol)
-            and np.all(np.abs(diag[impulse] - 1.0) <= z_tol)
-        )
-        if not impulse_rows_ok:
-            hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")
+    if not (np.all(np.abs(row_sums[impulse]) <= Z_TOL)
+            and np.all(np.abs(diag[impulse] - 1.0) <= Z_TOL)):
+        hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")
 
-    path_ok, failing_node = path
-    if not path_ok:
+    if failing_node is not None:
         hard.append(
             f"no impulse chain from d=1 node {failing_node} reaches a continuation node"
         )
 
-    return VerificationReport(
-        mode=mode,
-        diag_positive=diag_positive,
-        z_matrix_ok=z_matrix_ok,
-        interior_dominance_ok=interior_dominance_ok,
-        boundary_dominance_ok=boundary_dominance_ok,
-        impulse_rows_ok=impulse_rows_ok,
-        path_ok=path_ok,
-        failing_node=failing_node,
-        min_interior_margin=min_interior,
-        min_boundary_margin=min_boundary,
-        findings=findings,
-        hard_failures=hard,
-    )
+    return report
 
 
 def _impulse_chains(grid: Grid, policy: Policy):

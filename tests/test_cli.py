@@ -27,6 +27,8 @@ else:
 import mmqvi
 from mmqvi import GridSpec, PiterConfig, default_grid_spec, default_params
 from mmqvi.cli import (
+    RUN_DEFAULTS,
+    RUN_KEYS,
     ConfigError,
     _fmt,
     build_run_config,
@@ -101,6 +103,13 @@ def test_empty_config_yields_the_reference_setup():
     assert cfg.n_paths == 10_000
     assert cfg.refine_rounds == 3
     assert cfg.mc_y0 == (0.0, 100.0, 0.0, 0)
+
+
+def test_readme_settings_table_matches_the_run_defaults():
+    # every row `key` | `default` of the run-settings table parses to the default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\|\s*`(\w+)`\s*\|\s*`([^`]+)`", readme, flags=re.MULTILINE)
+    assert {key: RUN_KEYS[key](value) for key, value in rows} == RUN_DEFAULTS
 
 
 def test_partial_config_names_the_missing_key():

@@ -92,6 +92,21 @@ def test_splitting_falls_back_to_lu_after_its_budget(monkeypatch):
     np.testing.assert_allclose(report.solution, v_true, rtol=0, atol=1e-8)
 
 
+def test_diverging_sweeps_end_early_in_the_lu_fallback():
+    # the off-band corners make rho(M^-1 N) = 1e3: the iterate overflows
+    # within about 100 sweeps, and the first non-finite residual check ends
+    # the sweeps instead of the budget
+    a = sp.csr_matrix(np.array([[1.0, 0.0, 1e3], [0.0, 1.0, 0.0], [-1e3, 0.0, 1.0]]))
+    b = np.array([1.0, 2.0, 3.0])
+    report = Splitting.of(a).solve(b)
+    assert report.method == "direct-lu"
+    assert report.iterations % mmqvi.linsolve.CHECK_EVERY == 0
+    assert report.iterations < mmqvi.linsolve.SWEEP_BUDGET / 4
+    assert report.residual_norm <= 1e-10 * (1.0 + np.abs(b).max())
+    np.testing.assert_allclose(report.solution, np.linalg.solve(a.toarray(), b),
+                               rtol=0, atol=1e-12)
+
+
 def test_inverse_positivity_of_m_matrices():
     # Dominant Z-matrices have nonnegative inverses: b >= 0 forces v >= 0.
     for seed in range(5):

@@ -158,6 +158,21 @@ def test_gathered_reports_equal_the_matrix_scan(mode, fast_params, fast_spec, to
     assert any(findings for _, findings in outcomes) == (mode == "paper")
 
 
+def corrupted_report(grid, p, st, pol, monkeypatch, row, col, value):
+    """The gathered report of ``pol`` after entry (row, col) of the row-type
+    table a solve's cache builds is set to ``value``; checked against the
+    verifier that scans the assembled A(P)."""
+    built = row_types(grid, p, st).tolil()
+    if row is not None:
+        built[row, col] = value
+    monkeypatch.setattr(scheme, "row_types", lambda *a: built.tocsr())
+    gathered = gathered_report(grid, p, st, pol)
+    assert gathered == verify_theorem_conditions(
+        grid, pol, assemble_system(grid, p, st, pol, terminal_vector(grid, p))
+    )
+    return gathered
+
+
 @pytest.mark.parametrize(
     "col_shift, value, message",
     [(0, -1.0, r"nonpositive diagonal at row 4$"),
@@ -173,14 +188,45 @@ def test_gathered_hard_failures_name_the_node(
     m, node = grid.n_nodes, 4
     zeros = np.zeros(m, dtype=np.int8)
     pol = apply_caps(grid, zeros, zeros, np.ones(m), zeros)
-    built = row_types(grid, p, st).tolil()
-    built[node, node + col_shift] = value
-    monkeypatch.setattr(scheme, "row_types", lambda *a: built.tocsr())
-    gathered = gathered_report(grid, p, st, pol)
-    assert gathered == verify_theorem_conditions(
-        grid, pol, assemble_system(grid, p, st, pol, terminal_vector(grid, p))
-    )
+    gathered = corrupted_report(grid, p, st, pol, monkeypatch, node, node + col_shift, value)
     assert re.match(message, gathered.hard_failures[0])
+
+
+# toy rows: node 3 is (alpha -1, q 0), a boundary row in both modes; row
+# 4 * 9 + 4 of the table is node 4's impulse row for z = +1
+@pytest.mark.parametrize(
+    "mode, gamma, impulse, row, col, value, kind, message",
+    [("clamp", 0.5, False, 3, 4, -5.0, "hard_failures",
+      r"boundary-row dominance margin \S+ <= 0 at row 3$"),
+     ("paper", 0.5, False, 3, 4, -5.0, "findings",
+      r"paper mode: boundary-row dominance margin \S+ <= 0 at row 3$"),
+     ("clamp", 0.5, True, 40, 4, 2.0, "hard_failures",
+      r"impulse row deviates from \(diag 1, neighbor -1, row sum 0\)$"),
+     ("paper", 0.5, True, 40, 1, -1.0, "hard_failures",
+      r"impulse row deviates from \(diag 1, neighbor -1, row sum 0\)$"),
+     # a kick past the cap from every node: paper-mode extrapolation puts
+     # positive off-diagonals on 6 of the 9 rows, all of them boundary rows
+     ("paper", 2.5, False, None, None, None, "findings",
+      r"paper mode: positive off-diagonals on 6 extrapolated rows$")],
+)
+def test_gathered_reports_name_each_failed_condition(
+    mode, gamma, impulse, row, col, value, kind, message, toy_params, toy_spec, monkeypatch
+):
+    # one message per failed condition, a hard failure or (paper mode,
+    # boundary rows only) a finding
+    p = dataclasses.replace(toy_params, gamma_a=gamma, gamma_b=gamma)
+    grid = build_grid(p, toy_spec)
+    st = build_stencils(grid, p, mode)
+    m = grid.n_nodes
+    zeros = np.zeros(m, dtype=np.int8)
+    d = zeros.copy()
+    d[4] = impulse  # node 4 impulses up into node 7, a continuation node
+    pol = apply_caps(grid, zeros, zeros, np.ones(m), d)
+    gathered = corrupted_report(grid, p, st, pol, monkeypatch, row, col, value)
+    [msg] = getattr(gathered, kind)
+    assert re.match(message, msg)
+    assert gathered.sound == (kind == "findings")
+    assert len(gathered.findings) + len(gathered.hard_failures) == 1
 
 
 def test_row_checks_agree_with_the_toy_enumeration(
