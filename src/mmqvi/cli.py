@@ -33,6 +33,7 @@ from .linsolve import SolveError
 from .model import ModelParams
 from .montecarlo import estimate_performance
 from .policy_iteration import (
+    PHASES,
     VERIFICATION_LEVELS,
     PiterConfig,
     PolicyIterationError,
@@ -231,13 +232,15 @@ def _run_solve(cfg: RunConfig) -> int:
     per_level = sol.metadata["per_level"]
     log.info(
         "solve done: %d levels, value range [%s, %s], %d sweeps, "
-        "%d fallbacks, %d reused solves, %d switched nodes, wall %.2fs",
+        "%d fallbacks, %d reused solves, %d switched nodes, wall %.2fs "
+        "(improve %.2fs, load %.2fs, solve %.2fs)",
         len(sol.policies), _fmt(v0.min()), _fmt(v0.max()),
         sum(e["sweeps"] for e in per_level),
         sum(e["fallbacks"] for e in per_level),
         sum(e["reused_solves"] for e in per_level),
         sum(e["switched_nodes"] for e in per_level),
         sol.metadata["wall_time"],
+        *(sol.metadata["phase_s"][phase] for phase in PHASES),
     )
     return 0
 

@@ -4,7 +4,8 @@ For every admissible policy A(P) is a nonsingular M-matrix, so A = M - N
 with M the tridiagonal band of A and N = M - A >= 0 is a regular splitting:
 the sweeps x <- M^-1 (N x + b) converge, and from a subsolution (A x <= b)
 they never decrease (Varga 1962, Thm 3.13).  ``split`` takes a stack of row
-blocks apart once; M and N of a selection of its rows are gathered by row.
+blocks apart once and ``padded`` lays N's rows out at one fixed length, so
+the M and N of a selection of its rows are index gathers (``gather``).
 An impulse row x_i - x_j = b_i lies wholly in N, so after each tridiagonal
 solve a sweep closes every impulse chain exactly: x_i <- x_end + (sum of b
 on the chain).  The impulse block I - S has a nilpotent S >= 0, so this
@@ -114,33 +115,61 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
 def split(matrix: sp.csr_matrix):
     """Split ``matrix``, a CSR stack of square row blocks, in place.
 
-    The diagonal of row r is its column r mod n_cols.  Returns ((sub, diag,
-    sup), n_part): per row the entries one column left of, on and right of
-    the diagonal, and n_part = band - matrix, which is ``matrix`` itself
-    with its band removed and the rest negated.
+    The diagonal of row r is its column r mod n_cols.  Returns (band,
+    n_part): band is a 3 x n_rows array whose rows (sub, diag, sup) hold per
+    row the entries one column left of, on and right of the diagonal, and
+    n_part = band - matrix is ``matrix`` itself with its band removed and
+    the rest negated.
     """
     n_rows, n_cols = matrix.shape
     # index-width temporaries: this runs on the largest matrix of a solve
     rows = np.repeat(np.arange(n_rows, dtype=matrix.indices.dtype), np.diff(matrix.indptr))
     offset = np.remainder(rows, n_cols)
     np.subtract(matrix.indices, offset, out=offset)
-    band = []
-    for k in (-1, 0, 1):
+    band = np.empty((3, n_rows))
+    for piece, k in zip(band, (-1, 0, 1)):
         at = offset == k
-        band.append(np.bincount(rows[at], matrix.data[at], minlength=n_rows))
+        piece[:] = np.bincount(rows[at], matrix.data[at], minlength=n_rows)
         matrix.data[at] = 0.0
     np.negative(matrix.data, out=matrix.data)
     matrix.eliminate_zeros()
-    return tuple(band), matrix
+    return band, matrix
+
+
+def padded(matrix: sp.csr_matrix):
+    """The rows of CSR ``matrix`` as a table of K entries each, K the length
+    of its longest row: (cols, vals), both n_rows x K.  A shorter row keeps
+    its entries in order and is padded with explicit zeros at its diagonal
+    column, r mod n_cols."""
+    n_rows, n_cols = matrix.shape
+    counts = np.diff(matrix.indptr)
+    width = int(counts.max(initial=0))
+    diagonal = np.remainder(np.arange(n_rows, dtype=matrix.indices.dtype), n_cols)
+    cols = np.repeat(diagonal[:, None], width, axis=1)
+    vals = np.zeros((n_rows, width))
+    # entry e of row r goes to slot r*width + (e - indptr[r])
+    at = np.arange(matrix.nnz) + np.repeat(width * np.arange(n_rows) - matrix.indptr[:-1],
+                                           counts)
+    cols.ravel()[at], vals.ravel()[at] = matrix.indices, matrix.data
+    return cols, vals
+
+
+def gather(table, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """Rows ``rows`` of a ``padded`` table as a CSR matrix with n_cols
+    columns and K stored entries per row, padding included."""
+    cols, vals = (np.take(part, rows, axis=0).ravel() for part in table)
+    indptr = table[0].shape[1] * np.arange(rows.size + 1, dtype=cols.dtype)
+    return sp.csr_matrix((vals, cols, indptr), shape=(rows.size, n_cols))
 
 
 class Splitting:
     """Regular splitting A = M - N, M tridiagonal, with impulse chains closed.
 
     ``band`` = (sub, diag, sup) holds M by rows (``sub[0]`` and ``sup[-1]``
-    are ignored) and ``n_part`` is N.  ``chains`` = (starts, ends, (k, row))
-    lists each impulse row ``starts[k]``, the continuation node ``ends[k]``
-    its chain reaches and the impulse rows on chain k.  M is factored once
+    are ignored) and ``n_part`` is N, which may store explicit zeros.
+    ``chains`` = (starts, ends, (k, row)) lists each impulse row
+    ``starts[k]``, the continuation node ``ends[k]`` its chain reaches and
+    the impulse rows on chain k.  M is factored once
     (LAPACK ``dgttrf``).  For A not an M-matrix the sweeps may miss the
     contract and every solve then ends in the fallback.
     """
@@ -167,7 +196,8 @@ class Splitting:
         return sp.diags([sub[1:], diag, sup[:-1]], [-1, 0, 1], format="csr") - self.n_part
 
     def _lift(self, rhs: np.ndarray):
-        """Per chain, the sum of ``rhs`` over its impulse rows."""
+        """Per chain, the sum of ``rhs`` over its impulse rows, added in the
+        order ``chains`` lists them."""
         if self.chains is not None:
             starts, _, (k, row) = self.chains
             return np.bincount(k, rhs[row], minlength=starts.size)

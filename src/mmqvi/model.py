@@ -104,6 +104,14 @@ def running_reward(p: ModelParams, alpha: float, q: float, la: int, lb: int) -> 
     )
 
 
+def inventory_units(q) -> int:
+    """``q`` as an integer inventory; raises ValueError naming ``q`` when it
+    is not integral, so 1.0 passes and 0.5 is not truncated to 0."""
+    if not float(q).is_integer():
+        raise ValueError(f"inventory {q} is not an integer")
+    return int(q)
+
+
 def terminal_value(p: ModelParams, q: float) -> float:
     """Reduced terminal value g(q) = -upsilon*q*sign(q) - psi*q^2.
 

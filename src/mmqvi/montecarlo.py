@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, reconstruct_full_value
+from .model import ModelParams, inventory_units, reconstruct_full_value
 from .solver import Solution
 
 
@@ -119,7 +119,7 @@ def _simulate(
     z_lv = [pol.z for pol in sol.policies]
     d_lv = [pol.d for pol in sol.policies]
 
-    x, s, alpha, q = float(y0[0]), float(y0[1]), float(y0[2]), int(y0[3])
+    x, s, alpha, q = float(y0[0]), float(y0[1]), float(y0[2]), inventory_units(y0[3])
     if abs(q) > q_bar:
         raise SimulationError(f"initial inventory {q} outside the cap {q_bar}")
     alpha = min(max(alpha, -a_cap), a_cap)
@@ -258,7 +258,8 @@ def simulate_path(
     y0: tuple[float, float, float, int],
     seed,
 ) -> PathRecord:
-    """Simulate one path replaying the solved policy; full event record."""
+    """Simulate one path replaying the solved policy; full event record.
+    Raises ValueError when the inventory y0[3] is not integral."""
     rng = np.random.default_rng(seed)
     return _simulate(p, sol, y0, rng)
 
@@ -321,7 +322,7 @@ def _replay(
 
     pols = [(pol.la, pol.lb, pol.d, pol.z) for pol in sol.policies]
 
-    q0 = int(y0[3])
+    q0 = inventory_units(y0[3])
     if abs(q0) > q_bar:
         raise SimulationError(f"initial inventory {q0} outside the cap {q_bar}")
     x = np.full(n_paths, float(y0[0]))
@@ -480,7 +481,8 @@ def estimate_performance(
     other paths, so the paths of an n-path run are not a prefix of a larger
     run, and they differ from ``simulate_path`` paths seeded with
     ``SeedSequence(seed).spawn(n)`` children (the streams used before the
-    replay was batched); they follow the same law.
+    replay was batched); they follow the same law.  Raises ValueError when
+    the inventory y0[3] is not integral.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -492,7 +494,7 @@ def estimate_performance(
     x0, s0, alpha0, q0 = y0
     alpha0 = min(max(float(alpha0), -p.alpha_cap), p.alpha_cap)
     predicted = reconstruct_full_value(
-        float(x0), float(s0), float(q0), sol.value_at(0, alpha0, int(q0))
+        float(x0), float(s0), float(q0), sol.value_at(0, alpha0, q0)
     )
     if stderr > 0:
         zscore = (mean - predicted) / stderr

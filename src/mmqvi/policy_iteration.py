@@ -12,16 +12,21 @@ in finitely many steps; monotonicity is asserted at verification level
 ``per-step`` and above.
 
 Every row of A(P) is one of the grid's row types, which are split once per
-grid into band pieces and N and checked once for the row-local Z-matrix and
-dominance conditions (Azimzadeh & Forsyth 2016).  Per policy the report
-and the splitting gather their rows, and one impulse-chain walk verifies
-the impulse graph and gives the splitting the chains it closes; no A(P) is
-built on the solve path.
+grid into band pieces and a padded table of N's rows, and checked once for
+the row-local Z-matrix and dominance conditions (Azimzadeh & Forsyth 2016):
+per row type, its interior and boundary dominance margins and one word of
+failure flags.  Per policy the report, the splitting and the right side
+gather their rows from these tables, and one impulse-chain walk by pointer
+doubling verifies the impulse graph and gives the splitting the chains it
+closes; no A(P) is built on the solve path.  Improvement reads the
+problem's ``scheme.StepTables``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +34,7 @@ import scipy.sparse as sp
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
 from .model import ModelParams
-from .scheme import Policy, SparseSystem, policy_masks
+from .scheme import Policy, SparseSystem
 
 # Relative stopping metric falls back to absolute differences below this.
 RELATIVE_FLOOR = 1e-12
@@ -37,8 +42,13 @@ RELATIVE_FLOOR = 1e-12
 # and interior rows must keep a dominance margin of at least 1 - MARGIN_TOL.
 Z_TOL = 1e-12
 MARGIN_TOL = 1e-10
+# Failure flags of one row in ``_row_facts``: nonpositive diagonal, positive
+# off-diagonal on a boundary row or on any other row, impulse row that is
+# not (diag 1, row sum 0).
+NONPOSITIVE_DIAG, POS_OFF_BOUNDARY, POS_OFF_OTHER, BAD_IMPULSE = 1, 2, 4, 8
 
 VERIFICATION_LEVELS = ("off", "per-step", "exhaustive")
+PHASES = ("improve", "load", "solve")
 
 
 class PolicyIterationError(RuntimeError):
@@ -86,7 +96,8 @@ class PiterTrace:
     each solve, the number of solves that fell back to sparse LU, the
     verification report of each solved system, and for every improvement
     after the first the number of nodes whose (la, lb, d, z) changed from
-    the previous one.
+    the previous one.  ``phase_s`` totals the seconds spent in improvement,
+    in ``SystemCache.load`` and in the solves (sweeps and fallback).
     """
 
     policy_digests: list[str] = field(default_factory=list)
@@ -98,6 +109,7 @@ class PiterTrace:
     reports: list["VerificationReport"] = field(default_factory=list)
     switched: list[int] = field(default_factory=list)
     converged_by: str = ""
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @property
     def iterations(self) -> int:
@@ -136,20 +148,26 @@ class VerificationReport:
 
 
 class SystemCache:
-    """Split row types of one problem and the system of the last solved policy.
+    """Per-grid tables of one problem and the system of the last solved policy.
 
-    ``problem`` is the (grid, model, stencils) the cache is built for: its
-    ``scheme.row_types`` are split in place (``linsolve.split``) into their
-    ``band`` pieces and off-band ``n_types``, and ``checks`` = ``_row_checks``
-    of those; no other copy of the row types is kept.  The one entry is
+    ``problem`` is the (grid, model, stencils) the cache is built for.  Its
+    ``scheme.row_types`` are split once (``linsolve.split``) into the
+    ``band`` pieces, a 3 x n_row_types array, and ``n_types``, N's rows as
+    a ``linsolve.padded`` table; ``facts`` are the ``_row_facts`` of the row
+    types and ``step`` the ``scheme.StepTables`` of improvement and right
+    side.  No other copy of the row types is kept.  The one entry is
     ``rows``, the ``policy_rows`` selection that fixes A(P), with its
     verification ``report`` and ``split``, the ``linsolve.Splitting`` of A(P).
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
         self.problem = (grid, p, st)
-        self.band, self.n_types = linsolve.split(scheme.row_types(grid, p, st))
-        self.checks = _row_checks(self.band, self.n_types)
+        self.band, n_types = linsolve.split(scheme.row_types(grid, p, st))
+        impulse = np.arange(n_types.shape[0]) >= 4 * grid.n_nodes
+        self.facts = _row_facts(_row_checks(self.band, n_types), impulse,
+                                np.tile(st.boundary, 6 * grid.n_q) & ~impulse)
+        self.n_types = linsolve.padded(n_types)
+        self.step = scheme.StepTables(grid, p, st)
         self.rows = self.report = self.split = None
 
     def load(self, policy: Policy) -> str:
@@ -162,21 +180,27 @@ class SystemCache:
         if np.array_equal(rows, self.rows):
             return "reused"
         _, failing_node, chains = _impulse_chains(grid, policy)
-        self.report = _report(self.checks[:, rows], *policy_masks(grid, st, policy),
-                              st.mode, failing_node)
-        self.split = linsolve.Splitting(tuple(piece[rows] for piece in self.band),
-                                        self.n_types[rows], chains)
+        self.report = _report(self.facts, rows, st.mode, failing_node)
+        self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
+                                        linsolve.gather(self.n_types, rows, grid.n_nodes),
+                                        chains)
         self.rows = rows
         return "fresh"
 
+    def rhs(self, v_next: np.ndarray) -> np.ndarray:
+        """b(P) of the entry's policy, gathered by its rows."""
+        return self.step.rhs(self.rows, v_next)
+
 
 def improve_policy(
-    grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray
+    grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray,
+    tables: scheme.StepTables | None = None,
 ) -> Policy:
-    """Node-wise argmax policy of the step residual at the iterate ``v``.
+    """Node-wise argmax policy of the step residual at the iterate ``v``;
+    ``tables`` as ``scheme.residual`` takes them.
 
     Admissible by construction, so it is not validated."""
-    _, policy = scheme.residual(grid, p, st, v, v_next)
+    _, policy = scheme.residual(grid, p, st, v, v_next, tables)
     return policy
 
 
@@ -195,7 +219,8 @@ def verify_theorem_conditions(
     at the module tolerances ``Z_TOL`` and ``MARGIN_TOL``.
     """
     checks = _row_checks(*linsolve.split(system.matrix.tocsr(copy=True)))
-    return _report(checks, system.impulse_mask, system.boundary_rows, system.mode,
+    facts = _row_facts(checks, system.impulse_mask, system.boundary_rows)
+    return _report(facts, np.arange(checks.shape[1]), system.mode,
                    _impulse_chains(grid, policy)[1])
 
 
@@ -214,25 +239,44 @@ def _row_checks(band, n_part: sp.csr_matrix) -> np.ndarray:
     return np.stack([diag, pos_off, margin, row_sums])
 
 
-def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode: str,
-            failing_node: int | None) -> VerificationReport:
-    """Verification report of A(P) from the ``_row_checks`` of its rows, its
-    impulse mask and boundary rows (as ``SparseSystem`` holds them), the
-    stencil mode and the ``failing_node`` of the impulse-chain walk; one
-    message per failed condition."""
+def _row_facts(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray):
+    """What a report needs of each row, from its ``_row_checks``, whether it
+    is an impulse row and whether a boundary row (as ``SparseSystem`` marks
+    them): (margins, flags, diagonal).  ``margins`` stacks the interior and
+    the boundary dominance margin, each +inf on rows of the other kinds;
+    ``flags`` ORs the module's flag bits of the conditions the row fails."""
     diag, pos_off, margin, row_sums = checks
-    interior = ~impulse & ~boundary
-    min_interior = float(margin[interior].min()) if interior.any() else np.inf
-    min_boundary = float(margin[boundary].min()) if boundary.any() else np.inf
+    pos_off = pos_off.astype(bool)
+    impulse_ok = (np.abs(row_sums) <= Z_TOL) & (np.abs(diag - 1.0) <= Z_TOL)
+    flags = np.zeros(diag.size, dtype=np.uint8)
+    flags[~(diag > 0)] |= NONPOSITIVE_DIAG
+    flags[pos_off & boundary] |= POS_OFF_BOUNDARY
+    flags[pos_off & ~boundary] |= POS_OFF_OTHER
+    flags[impulse & ~impulse_ok] |= BAD_IMPULSE
+    margins = np.stack([np.where(~impulse & ~boundary, margin, np.inf),
+                        np.where(boundary, margin, np.inf)])
+    return margins, flags, diag.copy()
+
+
+def _report(facts, rows: np.ndarray, mode: str, failing_node: int | None) -> VerificationReport:
+    """Verification report of A(P), whose row r is row ``rows[r]`` of the
+    ``_row_facts`` ``facts``, in stencil mode ``mode`` and with the
+    ``failing_node`` of the impulse-chain walk; one message per failed
+    condition."""
+    margin_table, flag_table, diag = facts
+    margins = np.take(margin_table, rows, axis=1)
+    min_interior, min_boundary = map(float, margins.min(axis=1, initial=np.inf))
     report = VerificationReport(mode, failing_node, min_interior, min_boundary)
     findings, hard = report.findings, report.hard_failures
+    flags = np.take(flag_table, rows)
+    raised = int(np.bitwise_or.reduce(flags, initial=0))
 
-    if not np.all(diag > 0):
-        hard.append(f"nonpositive diagonal at row {int(np.argmin(diag))}")
+    if raised & NONPOSITIVE_DIAG:
+        hard.append(f"nonpositive diagonal at row {int(np.argmin(np.take(diag, rows)))}")
 
-    pos_off_rows = np.flatnonzero(pos_off)
-    if pos_off_rows.size:
-        outside = np.setdiff1d(pos_off_rows, np.flatnonzero(boundary))
+    if raised & (POS_OFF_BOUNDARY | POS_OFF_OTHER):
+        pos_off_rows = np.flatnonzero(flags & (POS_OFF_BOUNDARY | POS_OFF_OTHER))
+        outside = np.flatnonzero(flags & POS_OFF_OTHER)
         if mode == "paper" and outside.size == 0:
             findings.append(
                 f"paper mode: positive off-diagonals on {pos_off_rows.size} extrapolated rows"
@@ -244,18 +288,17 @@ def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode:
     if not min_interior >= 1.0 - MARGIN_TOL:
         hard.append(
             f"interior dominance margin {min_interior:.3e} < 1 at row "
-            f"{int(np.flatnonzero(interior)[np.argmin(margin[interior])])}"
+            f"{int(np.argmin(margins[0]))}"
         )
     if not min_boundary > 0.0:
-        row = int(np.flatnonzero(boundary)[np.argmin(margin[boundary])])
-        msg = f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row {row}"
+        msg = (f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row "
+               f"{int(np.argmin(margins[1]))}")
         if mode == "paper":
             findings.append("paper mode: " + msg)
         else:
             hard.append(msg)
 
-    if not (np.all(np.abs(row_sums[impulse]) <= Z_TOL)
-            and np.all(np.abs(diag[impulse] - 1.0) <= Z_TOL)):
+    if raised & BAD_IMPULSE:
         hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")
 
     if failing_node is not None:
@@ -267,36 +310,40 @@ def _report(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray, mode:
 
 
 def _impulse_chains(grid: Grid, policy: Policy):
-    """Walk z-directed inventory neighbors from every d = 1 node.
+    """Follow the z-directed inventory moves from every d = 1 node.
 
     Returns (path_ok, failing_node, chains).  The walk succeeds when every
     chain lands on a d = 0 node within 2*q_bar moves; a chain that leaves
-    the inventory band or cycles marks its starting node as failing and
-    ``chains`` is None.  Otherwise ``chains`` = (starts, ends, (k, node)) as
-    ``linsolve.Splitting`` takes them: the d = 1 nodes, the continuation
-    node each chain ends in, and every d = 1 node on chain k.
+    the inventory band or cycles fails, ``failing_node`` is the smallest
+    failing start and ``chains`` is None.  Otherwise ``chains`` = (starts,
+    ends, (k, node)) as ``linsolve.Splitting`` takes them: the d = 1 nodes,
+    the continuation node each chain ends in, and every d = 1 node on chain
+    k, chain by chain in the order of the walk.
+
+    The walk is pointer doubling: every node points one move ahead (a
+    continuation node at itself, a move out of the band at a sink), and
+    ceil(log2(2*q_bar)) doublings make that 2^j >= 2*q_bar moves.  A chain
+    that ends moves in one direction, since one that turns back cycles, so
+    its length and nodes follow from its start and end.
     """
-    d = policy.d.astype(bool)
-    cur = starts = np.flatnonzero(d)
-    ends, chain, on_chain = np.empty_like(starts), np.arange(starts.size), []
-    n_alpha, n_q = grid.n_alpha, grid.n_q
-    for _ in range(n_q - 1):
-        if cur.size == 0:
-            break
-        on_chain.append((chain, cur))
-        step = policy.z[cur].astype(np.int64)
-        nxt_jj = cur // n_alpha + step
-        escaped = (nxt_jj < 0) | (nxt_jj >= n_q)
-        if escaped.any():
-            return False, int(starts[chain[escaped][0]]), None
-        cur = cur + step * n_alpha
-        alive = d[cur]
-        ends[chain[~alive]] = cur[~alive]
-        cur, chain = cur[alive], chain[alive]
-    if cur.size:
-        return False, int(starts[chain[0]]), None
-    links = tuple(np.concatenate(a) for a in zip(*on_chain)) if on_chain else (chain, starts)
-    return True, None, (starts, ends, links)
+    m = grid.n_nodes
+    starts = np.flatnonzero(policy.d)
+    step = policy.z[starts] * np.int64(grid.n_alpha)
+    # nodes are q-major, so a move out of the inventory band leaves [0, m)
+    ahead = np.arange(m + 1)  # node m is the sink
+    target = starts + step
+    target[(target < 0) | (target >= m)] = m
+    ahead[starts] = target
+    for _ in range((grid.n_q - 2).bit_length()):
+        ahead = ahead[ahead]
+    ends = ahead[starts]
+    failed = np.flatnonzero(np.append(policy.d, 1)[ends])
+    if failed.size:
+        return False, int(starts[failed[0]]), None
+    length = (ends - starts) // step
+    k = np.repeat(np.arange(starts.size), length)
+    hop = np.arange(k.size) - np.repeat(np.cumsum(length) - length, length)
+    return True, None, (starts, ends, (k, starts[k] + hop * step[k]))
 
 
 def _stopping_metric(v_new: np.ndarray, v_old: np.ndarray) -> float:
@@ -324,8 +371,9 @@ def iterate(
 
     A(P) is fixed by the policy's row selection.  A solve whose policy
     selects the rows of the entry in ``cache`` reuses its report and
-    splitting and builds only the right side; any other gathers both from
-    the split row types.  At verification per-step and above, every solve
+    splitting; any other gathers both from the cache's per-grid tables.
+    Every solve gathers its right side from them, and every improvement
+    reads the cache's ``scheme.StepTables``.  At verification per-step and above, every solve
     raises VerificationError when its report has a hard failure.  Each solve
     sweeps the splitting from the current iterate; a solve whose sweeps miss
     the residual contract within ``linsolve.SWEEP_BUDGET`` falls back to
@@ -343,20 +391,28 @@ def iterate(
     elif cache.problem != (grid, p, st):
         raise ValueError("cache was built for another grid, model or stencils")
     verify = cfg.verification != "off"
+    phase_s = trace.phase_s
+    clock = time.perf_counter
 
     for _ in range(cfg.max_iter):
-        policy = improve_policy(grid, p, st, v, v_next)
+        started = clock()
+        policy = improve_policy(grid, p, st, v, v_next, cache.step)
+        phase_s["improve"] += clock() - started
         if prev_policy is not None:
             trace.switched.append(policy.switched_nodes(prev_policy))
             if trace.switched[-1] == 0:
                 trace.converged_by = "policy-repeat"
                 return v, prev_policy, trace
 
+        started = clock()
         route = cache.load(policy)
+        phase_s["load"] += clock() - started
         if verify and not cache.report.sound:
             raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
-        rhs = scheme.assemble_rhs(grid, p, policy, v_next)
+        rhs = cache.rhs(v_next)
+        started = clock()
         report = cache.split.solve(rhs, cfg.solver_tol, v)
+        phase_s["solve"] += clock() - started
         v_new = report.solution
         increment = float((v_new - v).min())
         metric = _stopping_metric(v_new, v)
@@ -380,7 +436,7 @@ def iterate(
         if metric < cfg.tol:
             trace.converged_by = "metric"
             if cfg.verification == "exhaustive":
-                _check_complementarity(grid, p, st, v, v_next, cfg)
+                _check_complementarity(grid, p, st, v, v_next, cfg, cache.step)
             return v, policy, trace
 
     raise PolicyIterationError(
@@ -390,9 +446,9 @@ def iterate(
     )
 
 
-def _check_complementarity(grid, p, st, v, v_next, cfg) -> None:
+def _check_complementarity(grid, p, st, v, v_next, cfg, tables) -> None:
     """At termination the node-wise residual max must vanish to solve scale."""
-    res, _ = scheme.residual(grid, p, st, v, v_next)
+    res, _ = scheme.residual(grid, p, st, v, v_next, tables)
     scale = float(np.max(np.abs(v), initial=1.0))
     bound = (10.0 * cfg.tol * max(1.0, scale) + 100.0 * cfg.solver_tol) / grid.d_t
     worst = float(np.max(np.abs(res)))

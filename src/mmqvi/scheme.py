@@ -16,7 +16,10 @@ with D the diagonal 0/1 impulse selector.  Each row of A(P) is fixed by its
 node and that node's choice, so ``row_types`` builds every candidate row
 once per grid and A(P) is the selection of one row per node.  ``residual``
 evaluates the node-wise max over all admissible choices of the unscaled step
-residual and doubles as the policy-improvement oracle.
+residual and doubles as the policy-improvement oracle.  Everything in it that
+does not depend on the iterate, and dt*f of each row type, is built once per
+problem in ``StepTables``: a new iterate costs one stacked shift product and
+elementwise maxima, and a new policy's right side is a gather by row type.
 """
 
 from __future__ import annotations
@@ -140,67 +143,108 @@ def _upwind_coeffs(grid: Grid, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return lup, ldn
 
 
-def _drift_diffusion(grid: Grid, p: ModelParams, v2d: np.ndarray) -> np.ndarray:
-    lup, ldn = _upwind_coeffs(grid, p)
-    out = np.zeros_like(v2d)
-    out[:, :-1] += lup[:-1] * (v2d[:, 1:] - v2d[:, :-1])
-    out[:, 1:] += ldn[1:] * (v2d[:, :-1] - v2d[:, 1:])
-    return out
+class StepTables:
+    """Per-grid constants of one implicit step, built once per problem.
+
+    Policy improvement reads the upwind coefficients ``lup``/``ldn`` (the
+    forward and backward legs, sliced as the differences use them), the
+    reward terms ``sqa`` = sigma*q*alpha and ``pq2`` = phi*q^2 as (n_q,
+    n_alpha) arrays, and ``shifts``, the up and down shift maps stacked into
+    one [up; down] map.  ``dt_reward`` holds dt*f for each of the six row
+    types of ``row_types`` (zero on the impulse blocks), so the right side of
+    a policy is a gather by its ``policy_rows``.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
+        self.grid, self.p = grid, p
+        lup, ldn = _upwind_coeffs(grid, p)
+        self.lup, self.ldn = lup[:-1], ldn[1:]
+        q_col = grid.qs[:, None].astype(float)
+        shape = (grid.n_q, grid.n_alpha)
+        self.sqa = p.sigma * q_col * grid.alphas[None, :]
+        self.pq2 = np.ascontiguousarray(np.broadcast_to(p.phi * q_col**2, shape))
+        self.shifts = sp.vstack([st.up, st.down], format="csr")
+        alpha, q = grid.alpha_of_node, grid.q_of_node.astype(float)
+        self.dt_reward = np.concatenate(
+            [grid.d_t * running_reward(p, alpha, q, la, lb) for la in (0, 1) for lb in (0, 1)]
+            + [np.zeros(2 * grid.n_nodes)]
+        )
+
+    def rhs(self, rows: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+        """b(P) of the policy whose ``policy_rows`` are ``rows``, as
+        ``assemble_rhs`` builds it: v^{n+1} + dt*f gathered by row type,
+        -upsilon on the impulse rows."""
+        rhs = v_next + self.dt_reward[rows]
+        rhs[rows >= 4 * self.grid.n_nodes] = -self.p.upsilon
+        return rhs
 
 
-def _branches(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray):
+def _branches(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     """Node-wise branch values and argmax bits, all shaped (n_q, n_alpha).
 
     Returns (cont, la, lb, imp, z) where ``cont`` is the best continuation
     residual (v_next - v)/dt + L v + f over the admissible quote bits and
     ``imp`` the best admissible impulse value B v - upsilon.  Ties prefer
-    quote bit 0 and impulse direction +1.
+    quote bit 0 and impulse direction +1.  ``tables`` are the problem's
+    ``StepTables``.  An ask fill (la = 1) needs q > -q_bar and a bid fill
+    q < q_bar; an impulse up needs q < q_bar and one down q > -q_bar.
     """
+    grid, p = tables.grid, tables.p
     n_q, n_alpha = grid.n_q, grid.n_alpha
     v2d = v.reshape(n_q, n_alpha)
     v_next2d = v_next.reshape(n_q, n_alpha)
 
-    up_all = (st.up @ v2d.T).T
-    dn_all = (st.down @ v2d.T).T
+    shifted = tables.shifts @ v2d.T
+    jump_up = np.multiply(shifted[:n_alpha].T, p.lambda_a, order="C")
+    jump_dn = np.multiply(shifted[n_alpha:].T, p.lambda_b, order="C")
+    # a fill moves inventory one unit: v(q - 1) on the ask, v(q + 1) on the bid
+    fill_up = jump_up[:-1] + p.lambda_a * p.delta
+    fill_dn = jump_dn[1:] + p.lambda_b * p.delta
+    la = np.zeros((n_q, n_alpha), dtype=bool)
+    lb = np.zeros((n_q, n_alpha), dtype=bool)
+    np.greater(fill_up, jump_up[1:], out=la[1:])
+    np.greater(fill_dn, jump_dn[:-1], out=lb[:-1])
+    np.maximum(jump_up[1:], fill_up, out=jump_up[1:])
+    np.maximum(jump_dn[:-1], fill_dn, out=jump_dn[:-1])
 
-    jump_up0 = p.lambda_a * up_all
-    jump_up1 = np.full_like(up_all, -np.inf)
-    jump_up1[1:] = p.lambda_a * up_all[:-1] + p.lambda_a * p.delta
-    jump_dn0 = p.lambda_b * dn_all
-    jump_dn1 = np.full_like(dn_all, -np.inf)
-    jump_dn1[:-1] = p.lambda_b * dn_all[1:] + p.lambda_b * p.delta
-
-    la = jump_up1 > jump_up0
-    lb = jump_dn1 > jump_dn0
-
-    q_col = grid.qs[:, None].astype(float)
-    base = (
+    drift = np.zeros_like(v2d)
+    step = v2d[:, 1:] - v2d[:, :-1]
+    drift[:, :-1] += tables.lup * step
+    drift[:, 1:] += tables.ldn * -step
+    cont = (
         (v_next2d - v2d) / grid.d_t
-        + _drift_diffusion(grid, p, v2d)
-        + p.sigma * q_col * grid.alphas[None, :]
-        - p.phi * q_col**2
+        + drift
+        + tables.sqa
+        - tables.pq2
         - (p.lambda_a + p.lambda_b) * v2d
     )
-    cont = base + np.where(la, jump_up1, jump_up0) + np.where(lb, jump_dn1, jump_dn0)
+    cont += jump_up
+    cont += jump_dn
 
-    imp_up = np.full_like(v2d, -np.inf)
-    imp_up[:-1] = v2d[1:] - v2d[:-1] - p.upsilon
-    imp_dn = np.full_like(v2d, -np.inf)
-    imp_dn[1:] = v2d[:-1] - v2d[1:] - p.upsilon
-    z = np.where(imp_up >= imp_dn, 1, -1).astype(np.int8)
-    imp = np.maximum(imp_up, imp_dn)
+    rise = v2d[1:] - v2d[:-1]
+    imp_up = rise - p.upsilon
+    imp_dn = -rise - p.upsilon
+    z = np.ones((n_q, n_alpha), dtype=np.int8)
+    imp = np.empty_like(v2d)
+    imp[0], imp[-1], z[-1] = imp_up[0], imp_dn[-1], -1
+    np.maximum(imp_up[1:], imp_dn[:-1], out=imp[1:-1])
+    z[1:-1][imp_up[1:] < imp_dn[:-1]] = -1
     return cont, la, lb, imp, z
 
 
-def residual(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray):
+def residual(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray,
+             tables: StepTables | None = None):
     """Node-wise scheme residual and its argmax policy.
 
     For every node, the max over the admissible continuation choices of
     (v_next - v)/dt + L v + f and the admissible impulse values B v - upsilon.
     At the solution of the step this max is zero node-wise.  Ties break
     toward continuation, unquoted sides, and impulse direction +1.
+    ``tables`` are the problem's ``StepTables``, built here when not given.
     """
-    cont, la, lb, imp, z = _branches(grid, p, st, v, v_next)
+    if tables is None:
+        tables = StepTables(grid, p, st)
+    cont, la, lb, imp, z = _branches(tables, v, v_next)
     d = imp > cont
     res = np.maximum(cont, imp)
     policy = Policy(
@@ -262,8 +306,12 @@ def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
 
 def policy_rows(grid: Grid, policy: Policy) -> np.ndarray:
     """Index into ``row_types`` of the row that ``policy`` chooses at each node."""
-    block = np.where(policy.d == 1, 4 + (policy.z == -1), 2 * policy.la + policy.lb)
-    return block.astype(np.int64) * grid.n_nodes + np.arange(grid.n_nodes)
+    block = 2 * policy.la + policy.lb
+    impulse = policy.d == 1
+    block[impulse] = 4 + (policy.z[impulse] == -1)
+    rows = block.astype(np.int64)
+    rows *= grid.n_nodes
+    return rows + np.arange(grid.n_nodes)
 
 
 def policy_masks(grid: Grid, st: StencilSet, policy: Policy):

@@ -20,8 +20,9 @@ import numpy as np
 from . import scheme
 from .grid import Grid, GridSpec, StencilSet, build_grid, build_stencils
 from .linsolve import SolveError
-from .model import ModelParams, stability_bounds, terminal_value
+from .model import ModelParams, inventory_units, stability_bounds, terminal_value
 from .policy_iteration import (
+    PHASES,
     PiterConfig,
     PolicyIterationError,
     SystemCache,
@@ -81,9 +82,11 @@ class Solution:
     metadata: dict = field(default_factory=dict)
 
     def value_at(self, n: int, alpha: float, q: int) -> float:
-        """Surface value at time level n, linear in alpha between nodes."""
+        """Surface value at time level n, linear in alpha between nodes;
+        raises ValueError for an inventory that is not integral or outside
+        [-q_bar, q_bar]."""
         g = self.grid
-        jj = int(q) + g.qs[-1]
+        jj = inventory_units(q) + g.qs[-1]
         if not 0 <= jj < g.n_q:
             raise ValueError(f"inventory {q} outside [-q_bar, q_bar]")
         pos = (alpha - g.alphas[0]) / g.d_alpha
@@ -122,7 +125,9 @@ def solve_backward(
 
     A PolicyIterationError, VerificationError or SolveError raised while
     solving a level is raised again with the time level in its message, its
-    type and payload unchanged.
+    type and payload unchanged.  ``metadata["per_level"]`` records each
+    level's policy iteration, and ``metadata["phase_s"]`` the seconds all
+    levels spent in improvement, in ``SystemCache.load`` and in the solves.
     """
     started = time.perf_counter()
     grid = build_grid(p, spec)
@@ -135,6 +140,7 @@ def solve_backward(
     surfaces[n_levels] = ValueSurface(n_levels, grid.times[-1], v)
     policies: list[Policy | None] = [None] * n_levels
     per_level = []
+    phase_s = dict.fromkeys(PHASES, 0.0)
     # The policy that ends one level usually starts the next, so its
     # splitting carries over.
     cache = SystemCache(grid, p, st)
@@ -152,6 +158,8 @@ def solve_backward(
         _check_envelope(p, grid, n, v, envelope_tol)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
         policies[n] = policy
+        for phase, seconds in trace.phase_s.items():
+            phase_s[phase] += seconds
         per_level.append(
             {
                 "level": n,
@@ -177,6 +185,7 @@ def solve_backward(
         "mode": mode,
         "per_level": per_level[::-1],
         "horizon_monotone_q0": bool(np.all(np.diff(q0_rows, axis=0) <= 1e-9)),
+        "phase_s": phase_s,
         "wall_time": time.perf_counter() - started,
     }
     return Solution(params=p, grid=grid, mode=mode, surfaces=surfaces,
@@ -240,8 +249,9 @@ def solve_explicit_baseline(
     surfaces[n_levels] = ValueSurface(n_levels, grid.times[-1], v)
     policies: list[Policy | None] = [None] * n_levels
 
+    tables = scheme.StepTables(grid, p, st)
     for n in range(n_levels - 1, -1, -1):
-        cont, la, lb, _, _ = scheme._branches(grid, p, st, v, v)
+        cont, la, lb, _, _ = scheme._branches(tables, v, v)
         v2d = v.reshape(grid.n_q, grid.n_alpha) + grid.d_t * cont
         v2d, d, z = _project_impulses(grid, p, v2d)
         v = v2d.ravel()

@@ -3,7 +3,8 @@
 Only tests use these.  They restate, one node and one stencil at a time,
 what ``mmqvi.grid`` and ``mmqvi.scheme`` compute for whole grids at once:
 the shift stencils behind ``StencilSet.up``/``down``, the rows behind
-``scheme.row_types``, and the node residual behind ``scheme.residual``.
+``scheme.row_types``, the node residual behind ``scheme.residual``, and the
+impulse chains behind ``policy_iteration._impulse_chains``.
 """
 
 from __future__ import annotations
@@ -228,3 +229,21 @@ def impulse_row(grid: Grid, p: ModelParams, ii: int, jj: int, z: int):
     return cols, vals, -p.upsilon
 
 
+
+
+def walk_impulse_chain(grid: Grid, d, z, start: int):
+    """The nodes of the impulse chain from d = 1 node ``start``, one move at
+    a time: (nodes, end), with ``end`` the continuation node it lands on, or
+    None when it leaves the inventory band or has not landed within 2*q_bar
+    moves."""
+    nodes, node = [], start
+    for _ in range(grid.n_q - 1):
+        nodes.append(node)
+        ii, jj = unflatten(grid, node)
+        jj += int(z[node])
+        if not 0 <= jj < grid.n_q:
+            return nodes, None
+        node = int(flatten(grid, ii, jj))
+        if d[node] == 0:
+            return nodes, node
+    return nodes, None

@@ -213,6 +213,11 @@ def test_solve_mode_logs_the_solve_routes(tiny_config, tmp_path, caplog):
         r"(\d+) sweeps, (\d+) fallbacks, (\d+) reused solves, (\d+) switched nodes", line
     )
     assert counts and int(counts[1]) >= 1 and int(counts[2]) == 0
+    phases = re.search(
+        r"wall ([\d.]+)s \(improve ([\d.]+)s, load ([\d.]+)s, solve ([\d.]+)s\)$", line
+    )
+    wall, *spent = map(float, phases.groups())
+    assert sum(spent) <= wall + 0.03  # each figure is rounded to 0.01 s
 
 
 def test_validate_mode_passes_on_the_tiny_model(tiny_config, tmp_path, caplog):

@@ -197,6 +197,21 @@ def test_estimate_rejects_an_inventory_outside_the_cap(fast_params, fast_sol):
         estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), 10, seed=0)
 
 
+def test_replays_reject_a_fractional_inventory(fast_params, fast_sol):
+    # a fractional inventory was once truncated: q = 0.5 replayed q = 0
+    # paths against the value predicted at q = 0.5
+    for q in (0.5, -0.9):
+        with pytest.raises(ValueError, match=f"inventory {q} is not an integer"):
+            estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, q), 10, seed=0)
+        with pytest.raises(ValueError, match=f"inventory {q} is not an integer"):
+            simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, q), seed=0)
+    # an integral float is the integer inventory
+    whole, one = (estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, q), 10, seed=0)
+                  for q in (1.0, 1))
+    assert whole == one
+    assert simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, 1.0), seed=0).y0[3] == 1
+
+
 @pytest.mark.parametrize("theta", [0.1, 1e-12, 2.0])
 def test_vectorized_jump_times_match_the_scalar_inversion(theta):
     rng = np.random.default_rng(0)

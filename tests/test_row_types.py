@@ -1,7 +1,8 @@
 """One operator per grid: the shift maps and ``row_types`` against the scalar
 oracles, the once-per-grid row checks against the verifier that scans an
-assembled A(P), and the reuse of one system by policies that select the same
-rows."""
+assembled A(P), the reuse of one system by policies that select the same
+rows, and the right side, N(P), report and impulse chains a solve's cache
+gathers against the assembled system and a plain chain walk."""
 
 import dataclasses
 import re
@@ -17,7 +18,9 @@ import mmqvi.policy_iteration  # noqa: E402
 from mmqvi import (  # noqa: E402
     GridSpec,
     PiterConfig,
+    Policy,
     apply_caps,
+    assemble_rhs,
     assemble_system,
     build_grid,
     build_stencils,
@@ -28,7 +31,7 @@ from mmqvi import (  # noqa: E402
 from mmqvi import scheme  # noqa: E402
 from mmqvi.grid import EXACT_SHIFT_TOL  # noqa: E402
 from mmqvi.linsolve import split  # noqa: E402
-from mmqvi.policy_iteration import SystemCache, _row_checks  # noqa: E402
+from mmqvi.policy_iteration import SystemCache, _impulse_chains, _row_checks  # noqa: E402
 from mmqvi.solver import terminal_vector  # noqa: E402
 
 from conftest import admissible, quiet_params  # noqa: E402
@@ -38,6 +41,7 @@ from oracles import (  # noqa: E402
     impulse_row,
     shift_stencil_down,
     shift_stencil_up,
+    walk_impulse_chain,
 )
 
 
@@ -204,6 +208,10 @@ def test_gathered_hard_failures_name_the_node(
       r"impulse row deviates from \(diag 1, neighbor -1, row sum 0\)$"),
      ("paper", 0.5, True, 40, 1, -1.0, "hard_failures",
       r"impulse row deviates from \(diag 1, neighbor -1, row sum 0\)$"),
+     # a positive off-diagonal on interior row 4 fails in paper mode too;
+     # 5e-11 keeps its dominance margin inside MARGIN_TOL
+     ("paper", 0.5, False, 4, 1, 5e-11, "hard_failures",
+      r"positive off-diagonal entry on row 4$"),
      # a kick past the cap from every node: paper-mode extrapolation puts
      # positive off-diagonals on 6 of the 9 rows, all of them boundary rows
      ("paper", 2.5, False, None, None, None, "findings",
@@ -306,3 +314,62 @@ def test_equal_row_selections_share_one_system(case):
     _, (v_shared, _, trace), (v_fresh, _, _) = solved
     assert trace.routes == ["reused" if same else "fresh"]
     np.testing.assert_array_equal(v_shared, v_fresh)
+
+
+# ------------------------------------------------ gathers against oracles
+
+
+@hst.composite
+def problem_policies(draw, capped=True):
+    """A problem of ``problems``, a random policy on it and a random v_next.
+    Impulses are drawn at a random share with random directions, so chains
+    end, cycle or, without the cap pass (``capped=False``), leave the band."""
+    grid, p, st = draw(problems())
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    share = draw(hst.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    if capped:
+        policy = random_policy(grid, rng, impulse_share=share)
+    else:
+        m = grid.n_nodes
+        policy = Policy(*rng.integers(0, 2, (2, m)).astype(np.int8),
+                        z=np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8),
+                        d=(rng.random(m) < share).astype(np.int8))
+    return grid, p, st, policy, rng.normal(size=grid.n_nodes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem_policies())
+def test_gathered_rhs_n_and_report_equal_the_assembled_system(case):
+    grid, p, st, pol, v_next = case
+    system = assemble_system(grid, p, st, pol, v_next)
+    cache = SystemCache(grid, p, st)
+    cache.load(pol)
+    event("sound" if cache.report.sound else "unsound")
+    # the right side bit for bit, the report field by field
+    np.testing.assert_array_equal(cache.rhs(v_next), assemble_rhs(grid, p, pol, v_next))
+    assert cache.report == verify_theorem_conditions(grid, pol, system)
+    # M - N is A(P) entry for entry; N keeps K entries on every row
+    n_part = cache.split.n_part
+    assert (cache.split.matrix() - system.matrix).nnz == 0
+    assert n_part.nnz == grid.n_nodes * cache.n_types[0].shape[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_policies(capped=False))
+def test_doubled_chains_end_where_a_plain_walk_ends(case):
+    grid, _, _, pol, _ = case
+    ok, failing, chains = _impulse_chains(grid, pol)
+    starts = np.flatnonzero(pol.d)
+    walks = [walk_impulse_chain(grid, pol.d, pol.z, int(s)) for s in starts]
+    failed = [int(s) for s, (_, end) in zip(starts, walks) if end is None]
+    event("a chain fails" if failed else "every chain ends")
+    assert ok == (not failed)
+    if failed:
+        # the smallest failing start is named
+        assert failing == failed[0] and chains is None
+        return
+    got_starts, ends, (k, row) = chains
+    np.testing.assert_array_equal(got_starts, starts)
+    np.testing.assert_array_equal(ends, [end for _, end in walks])
+    for c, (nodes, _) in enumerate(walks):
+        np.testing.assert_array_equal(row[k == c], nodes)

@@ -1,0 +1,68 @@
+"""Whole backward solves on random small clamp-mode problems: the stability
+envelope, monotone policy iteration, complementarity at exhaustive
+verification, and reflection symmetry of symmetric models."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import strategies as hst  # noqa: E402
+
+from mmqvi import GridSpec, PiterConfig, solve_backward, stability_bounds  # noqa: E402
+
+from conftest import quiet_params  # noqa: E402
+
+
+@hst.composite
+def small_problems(draw):
+    """A random valid model and clamp-mode grid with n_alpha <= 21, at most
+    10 steps, q_bar <= 3 and dt*(lambda_a + lambda_b) <= 2; returns (p,
+    spec, symmetric).  Half of them are symmetric: gamma_a = gamma_b and
+    lambda_a = lambda_b."""
+    symmetric = draw(hst.booleans())
+    rate = hst.floats(0.1, 10.0)
+    lambda_a = draw(rate)
+    lambda_b = lambda_a if symmetric else draw(rate)
+    alpha_cap = draw(hst.floats(0.5, 50.0))
+    gamma = hst.floats(0.01, 1.5).map(lambda share: share * alpha_cap)
+    gamma_a = draw(gamma)
+    gamma_b = gamma_a if symmetric else draw(gamma)
+    n_steps = draw(hst.integers(1, 10))
+    # T up to the horizon at which dt*(lambda_a + lambda_b) reaches 2
+    T = draw(hst.floats(0.01, 1.0)) * 2.0 * n_steps / (lambda_a + lambda_b)
+    p = quiet_params(
+        T=T, sigma=draw(hst.floats(1e-3, 1.0)), theta=0.1,
+        delta=draw(hst.floats(0.0, 0.05)), eps=draw(hst.floats(1e-4, 0.05)),
+        lambda_a=lambda_a, lambda_b=lambda_b, k=draw(rate),
+        rho=draw(hst.floats(0.01, 10.0)), gamma_a=gamma_a, gamma_b=gamma_b,
+        phi=draw(hst.floats(0.0, 0.1)), psi=draw(hst.floats(0.0, 0.1)),
+        q_bar=draw(hst.integers(1, 3)), alpha_cap=alpha_cap,
+    )
+    spec = GridSpec(n_steps, draw(hst.sampled_from(range(3, 22, 2))), alpha_cap, p.q_bar)
+    return p, spec, symmetric
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_problems())
+def test_random_solves_keep_the_solver_invariants(case):
+    p, spec, symmetric = case
+    cfg = PiterConfig(verification="exhaustive")
+    # raises on a hard verification failure, an iterate that decreases by
+    # more than 10x the solver tolerance, a complementarity residual above
+    # its bound, or a level outside the envelope
+    sol = solve_backward(p, spec, piter=cfg)
+    levels = sol.metadata["per_level"]
+    event("complementarity checked" if any(e["converged_by"] == "metric" for e in levels)
+          else "every level stopped on a repeated policy")
+
+    for surface in sol.surfaces:
+        lo, hi = stability_bounds(p, surface.t)
+        assert lo - 1e-8 <= surface.values.min() and surface.values.max() <= hi + 1e-8
+    assert min(e["min_increment"] for e in levels) >= -10.0 * cfg.solver_tol
+
+    if symmetric:
+        g = sol.grid
+        v = np.array([s.values for s in sol.surfaces]).reshape(-1, g.n_q, g.n_alpha)
+        gap = float(np.abs(v - v[:, ::-1, ::-1]).max())
+        assert gap <= 1e-8 * max(1.0, float(np.abs(v).max()))

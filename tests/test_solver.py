@@ -61,6 +61,11 @@ def test_solution_layout_and_metadata(fast_sol, fast_spec):
     assert md["mode"] == "clamp"
     assert md["wall_time"] > 0.0
     assert isinstance(md["horizon_monotone_q0"], bool)
+    # the phase totals lie inside the wall time and stay out of per_level
+    assert set(md["phase_s"]) == {"improve", "load", "solve"}
+    assert all(s > 0.0 for s in md["phase_s"].values())
+    assert sum(md["phase_s"].values()) < md["wall_time"]
+    assert not any("phase_s" in entry for entry in md["per_level"])
     levels = [entry["level"] for entry in md["per_level"]]
     assert levels == list(range(n))
     for entry in md["per_level"]:
@@ -158,6 +163,13 @@ def test_value_at_interpolates_linearly(fast_sol):
         fast_sol.value_at(0, 0.0, 3)
 
 
+def test_value_at_rejects_a_fractional_inventory(fast_sol):
+    # q = 0.9 once read the q = 0 value; an integral float reads its level
+    with pytest.raises(ValueError, match="inventory 0.9 is not an integer"):
+        fast_sol.value_at(0, 0.0, 0.9)
+    assert fast_sol.value_at(0, 0.0, 1.0) == fast_sol.value_at(0, 0.0, 1)
+
+
 def test_value_decays_toward_maturity_at_flat_inventory(fast_sol):
     assert fast_sol.metadata["horizon_monotone_q0"]
 
@@ -246,20 +258,34 @@ def test_traced_names_resolve():
 def test_one_solve_builds_the_row_types_once_and_rescans_nothing(
     fast_params, fast_spec, monkeypatch
 ):
-    # the solve path gathers its splittings from the split row types: it
-    # assembles no A(P), scans none, and never needs the LU fallback
+    # the solve path gathers its splittings, reports and right sides from
+    # per-grid tables built once: it assembles no A(P), scans none, never
+    # needs the LU fallback, and evaluates the running reward and the upwind
+    # coefficients only while it builds the tables
     calls = Counter()
+    building = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+            inside = any(building) or name not in ("running_reward", "_upwind_coeffs")
+            calls[name if inside else f"{name} outside a table build"] += 1
+            building.append(name in ("row_types", "StepTables"))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                building.pop()
         return wrapper
 
     for owner, name in ((mmqvi.scheme, "row_types"), (Policy, "validate"),
                         (mmqvi.policy_iteration, "verify_theorem_conditions"),
-                        (mmqvi.scheme, "assemble_system"), (mmqvi.linsolve, "solve")):
+                        (mmqvi.scheme, "assemble_system"), (mmqvi.linsolve, "solve"),
+                        (mmqvi.scheme, "running_reward"), (mmqvi.scheme, "_upwind_coeffs")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    tables = mmqvi.scheme.StepTables
+    monkeypatch.setattr(tables, "__init__", counted("StepTables", tables.__init__))
     sol = solve_backward(fast_params, fast_spec)
-    assert calls == {"row_types": 1}
+    # one dt*f per continuation row type; one set of upwind coefficients
+    # each for the row types and the improvement tables
+    assert calls == {"row_types": 1, "StepTables": 1, "running_reward": 4,
+                     "_upwind_coeffs": 2}
     assert all(e["min_interior_margin"] is not None for e in sol.metadata["per_level"])
