@@ -169,6 +169,8 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if run["seed"] < 0:
+        raise ConfigError(f"bad value for key seed: {run['seed']} (must be >= 0)")
     if run["n_paths"] < 1:
         raise ConfigError(f"bad value for key n_paths: {run['n_paths']} (must be >= 1)")
     if run["refine_rounds"] < 2:

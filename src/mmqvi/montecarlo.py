@@ -20,10 +20,10 @@ starting state within Monte Carlo error.
 
 ``simulate_path`` runs one path through the scalar simulator and keeps its
 full event log; it is the reference.  ``estimate_performance`` advances all
-paths together with array operations: per time step the impulse cascade runs
-as masked rounds, round r handles the r-th external order of every path that
-has one, and between events only the paths whose Exp(1) budget falls within
-the window's cumulative intensity take the Newton inversion.
+paths in lockstep with array operations: each pass moves every unfinished
+path to its own next event (price jump, external order or end of its time
+step) and handles it, and only the paths whose Exp(1) budget falls within the
+window's cumulative intensity take the Newton inversion.
 """
 
 from __future__ import annotations
@@ -295,6 +295,19 @@ class _ReplayCounts:
     chatter_capped: int = 0
 
 
+# bits of a packed control code: the quotes, the impulse selector, a buy impulse
+_LA, _LB, _D, _BUY = 1, 2, 4, 8
+
+
+def _control_codes(sol: Solution) -> np.ndarray:
+    """Every step's controls as one uint8 code per (step, node)."""
+    codes = np.zeros((len(sol.policies), sol.grid.n_nodes), dtype=np.uint8)
+    for bit, field in ((_LA, "la"), (_LB, "lb"), (_D, "d")):
+        codes[np.array([getattr(pol, field) for pol in sol.policies]) != 0] |= bit
+    codes[np.array([pol.z for pol in sol.policies]) > 0] |= _BUY
+    return codes
+
+
 def _replay(
     p: ModelParams,
     sol: Solution,
@@ -302,25 +315,23 @@ def _replay(
     n_paths: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, _ReplayCounts]:
-    """Replay the policy on ``n_paths`` paths at once.
+    """Replay the policy on ``n_paths`` paths at once, one event per pass.
 
-    The same dynamics as ``_simulate``, advanced for all paths together:
-    each path's state lives in arrays indexed by path, the impulse cascade
-    runs as masked rounds, and round r of a step handles the r-th external
-    order of every path that has one.  Returns the realized objectives.
+    The same dynamics as ``_simulate``, advanced for all paths in lockstep:
+    each path's state lives in arrays indexed by path, and every pass takes
+    each unfinished path from its own last event to its next one: the first
+    arrival of its two price-jump clocks, else its next external order, else
+    the end of its time step, where it moves on to the next step's policy.
+    Returns the realized objectives and the event counts.
     """
     grid = sol.grid
     n_alpha, q_bar = grid.n_alpha, int(grid.qs[-1])
-    alpha_lo = grid.alphas[0]
-    d_alpha = grid.d_alpha
-    a_cap = p.alpha_cap
+    alpha_lo, d_alpha = grid.alphas[0], grid.d_alpha
+    a_cap, ups = p.alpha_cap, p.upsilon
     k, rho, theta = p.k, p.rho, p.theta
-    ups = p.upsilon
-    times = grid.times
-    dt = grid.d_t
+    step_end, t_end = grid.times[1:], float(grid.times[-1])
     n_steps = len(sol.policies)
-
-    pols = [(pol.la, pol.lb, pol.d, pol.z) for pol in sol.policies]
+    codes = _control_codes(sol)
 
     q0 = inventory_units(y0[3])
     if abs(q0) > q_bar:
@@ -331,8 +342,21 @@ def _replay(
     q = np.full(n_paths, q0, dtype=np.int64)
     q2_int = np.zeros(n_paths)      # running integral of Q^2 dt
     t_mark = np.zeros(n_paths)      # time of the last inventory change
-    counts = _ReplayCounts()
+    t_cur = np.zeros(n_paths)       # time of the last event
+    step = np.zeros(n_paths, dtype=np.int64)
     every = np.arange(n_paths)
+
+    # the external orders of the whole horizon, Poisson(lambda*T) per side at
+    # uniform times: path i's sit by time from nxt[i] on, then an inf sentinel
+    n_a = rng.poisson(p.lambda_a * t_end, n_paths)
+    n_ev = n_a + rng.poisson(p.lambda_b * t_end, n_paths)
+    counts = _ReplayCounts(ext_orders=int(n_ev.sum()))
+    owner = np.repeat(every, n_ev + 1)
+    nxt = np.cumsum(n_ev + 1) - (n_ev + 1)
+    rank = np.arange(owner.size) - nxt[owner]
+    ev_t = np.where(rank < n_ev[owner], t_end * rng.random(owner.size), np.inf)
+    order = np.lexsort((ev_t, owner))
+    ev_t, ev_buy = ev_t[order], (rank < n_a[owner])[order]
 
     def node_of(idx: np.ndarray) -> np.ndarray:
         i = ((alpha[idx] - alpha_lo) / d_alpha + 0.5).astype(np.int64)
@@ -358,14 +382,15 @@ def _replay(
             buy, np.minimum(a + p.gamma_a, a_cap), np.maximum(a - p.gamma_b, -a_cap)
         )
 
-    def cascade(idx: np.ndarray, t: np.ndarray, d_arr, z_arr) -> None:
-        """Own market orders, round by round, while a path's cell has d = 1."""
+    def cascade(idx: np.ndarray, t: np.ndarray) -> None:
+        """Own market orders, round by round, while a path's cell has d = 1
+        under the policy of the path's step."""
         for _ in range(2 * q_bar):
-            node = node_of(idx)
-            act = d_arr[node] != 0
+            code = codes[step[idx], node_of(idx)]
+            act = (code & _D) != 0
             if not act.any():
                 return
-            idx, t, buy = idx[act], t[act], z_arr[node[act]] > 0
+            idx, t, buy = idx[act], t[act], (code[act] & _BUY) != 0
             mark_q_change(idx, t)
             si = s[idx]
             x[idx] += np.where(buy, -(si + ups), si - ups)
@@ -373,7 +398,7 @@ def _replay(
             bump(idx, buy)
             counts.own_orders += idx.size
             check_cap(idx, t)
-        counts.chatter_capped += int(np.count_nonzero(d_arr[node_of(idx)]))
+        counts.chatter_capped += int(np.count_nonzero(codes[step[idx], node_of(idx)] & _D))
 
     def advance_alpha(a: np.ndarray, decay: np.ndarray) -> np.ndarray:
         """Exact OU transitions over windows with decay factors exp(-k*w)."""
@@ -381,87 +406,61 @@ def _replay(
         return np.minimum(np.maximum(a * decay + sd * rng.standard_normal(a.size),
                                      -a_cap), a_cap)
 
-    def advance(idx: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> None:
-        """Move paths from t_from to t_to through the price jumps between.
-
-        Each path runs two clocks: one at rate theta + |alpha| exp(-k*w), w
-        the time since t_from, for a tick in the direction of the signal, one
-        at rate theta for a tick against it.  Their first arrival is the next
-        jump; a path past it starts afresh from the jump.
-        """
-        while idx.size:
-            window = np.maximum(t_to - t_from, 0.0)
-            a = alpha[idx]
-            c = np.abs(a) / k
-            decay = np.exp(-k * window)
-            budget = rng.exponential(size=(2, idx.size))
-            hit_with = budget[0] <= theta * window + c * (1.0 - decay)
-            hit_against = budget[1] <= theta * window
-            hit = hit_with | hit_against
-            # paths without a jump in the window take one exact transition
-            quiet = ~hit
-            alpha[idx[quiet]] = advance_alpha(a[quiet], decay[quiet])
-            if not hit.any():
-                return
-            j = np.flatnonzero(hit)
+    cascade(every, t_cur)
+    live = every
+    while live.size:
+        t_from, a = t_cur[live], alpha[live]
+        t_order, t_step = ev_t[nxt[live]], step_end[step[live]]
+        t_to = np.minimum(t_order, t_step)
+        window = np.maximum(t_to - t_from, 0.0)
+        # two price-jump clocks: one at rate theta + |a| exp(-k*w), w the time
+        # since t_from, for a tick in the direction of the signal, one at rate
+        # theta for a tick against it; the first arrival in the window is the
+        # path's next event
+        c = np.abs(a) / k
+        budget = rng.exponential(size=(2, live.size))
+        hit_with = budget[0] <= theta * window + c * (1.0 - np.exp(-k * window))
+        hit_against = budget[1] <= theta * window
+        jump = hit_with | hit_against
+        w = window
+        if jump.any():
+            j = np.flatnonzero(jump)
             hw, ha = hit_with[j], hit_against[j]
             w_with = np.full(j.size, np.inf)
             w_with[hw] = _first_arrivals(theta, c[j][hw], k, budget[0, j][hw], window[j][hw])
             w_against = np.full(j.size, np.inf)
             w_against[ha] = budget[1, j][ha] / theta
-            w = np.minimum(w_with, w_against)
+            w = window.copy()
+            w[j] = np.minimum(w_with, w_against)
             tick = np.where(a[j] >= 0.0, p.sigma, -p.sigma)
-            idx = idx[j]
-            alpha[idx] = advance_alpha(a[j], np.exp(-k * w))
-            s[idx] += np.where(w_with <= w_against, tick, -tick)
-            counts.jumps += idx.size
-            t_from, t_to = t_from[j] + w, t_to[j]
+            s[live[j]] += np.where(w_with <= w_against, tick, -tick)
+            counts.jumps += j.size
+        alpha[live] = advance_alpha(a, np.exp(-k * w))
+        t_cur[live] = np.where(jump, t_from + w, t_to)
 
-    for n in range(n_steps):
-        t0, t1 = times[n], times[n + 1]
-        la_arr, lb_arr, d_arr, z_arr = pols[n]
-        cascade(every, np.full(n_paths, t0), d_arr, z_arr)
+        # paths without a jump reached their next order or their step's end
+        arrived = ~jump
+        idx, t_ev = live[arrived], t_to[arrived]
+        is_order = t_order[arrived] <= t_step[arrived]
+        o, t_o = idx[is_order], t_ev[is_order]
+        buy = ev_buy[nxt[o]]
+        nxt[o] += 1
+        # an external buy lifts our resting ask, a sell hits our bid, both
+        # from the cell before the order's bump
+        fills = (codes[step[o], node_of(o)] & np.where(buy, _LA, _LB)) != 0
+        f, fb, t_f = o[fills], buy[fills], t_o[fills]
+        mark_q_change(f, t_f)
+        sf = s[f]
+        x[f] += np.where(fb, sf + p.delta, -(sf - p.delta))
+        q[f] += np.where(fb, -1, 1)
+        bump(o, buy)
+        check_cap(f, t_f)
+        step[idx[~is_order]] += 1
+        going = step[idx] < n_steps
+        cascade(idx[going], t_ev[going])
+        if not going.all():
+            live = live[step[live] < n_steps]
 
-        n_a = rng.poisson(p.lambda_a * dt, n_paths)
-        n_ev = n_a + rng.poisson(p.lambda_b * dt, n_paths)
-        total = int(n_ev.sum())
-        counts.ext_orders += total
-        # events of path i sit at first[i] .. first[i] + n_ev[i] - 1, by time
-        first = np.cumsum(n_ev) - n_ev
-        owner = np.repeat(every, n_ev)
-        rank = np.arange(total) - first[owner]
-        u = rng.random(total)
-        order = np.lexsort((u, owner))
-        ev_t = (t0 + dt * u)[order]
-        ev_buy = (rank < n_a[owner])[order]
-
-        # round r: every path with at least r events moves to its r-th event
-        # (or to t1), then paths with an r-th event execute it
-        idx, t_from = every, np.full(n_paths, t0)
-        for r in range(int(n_ev.max(initial=0)) + 1):
-            has = n_ev[idx] > r
-            t_to = np.full(idx.size, t1)
-            pos = first[idx[has]] + r
-            t_to[has] = ev_t[pos]
-            advance(idx, t_from, t_to)
-
-            idx, t_ev, buy = idx[has], t_to[has], ev_buy[pos]
-            if not idx.size:
-                break
-            node = node_of(idx)
-            fills = np.where(buy, la_arr[node], lb_arr[node]) != 0
-            f, fb = idx[fills], buy[fills]
-            mark_q_change(f, t_ev[fills])
-            sf = s[f]
-            # an external buy lifts our resting ask, a sell hits our bid
-            x[f] += np.where(fb, sf + p.delta, -(sf - p.delta))
-            q[f] += np.where(fb, -1, 1)
-            bump(idx, buy)
-            check_cap(f, t_ev[fills])
-            cascade(idx, t_ev, d_arr, z_arr)
-            t_from = t_ev
-
-    t_end = float(times[-1])
     q2_int += q * q * (t_end - t_mark)
     objectives = -p.phi * q2_int + x + q * (s - ups * np.sign(q)) - p.psi * q * q
     return objectives, counts
@@ -476,13 +475,14 @@ def estimate_performance(
 ) -> EstimateReport:
     """Mean realized objective over paths versus the reconstructed value.
 
-    All paths are advanced together from one generator, ``default_rng(seed)``,
-    so a seed reproduces the report exactly.  Path i's draws depend on the
-    other paths, so the paths of an n-path run are not a prefix of a larger
-    run, and they differ from ``simulate_path`` paths seeded with
-    ``SeedSequence(seed).spawn(n)`` children (the streams used before the
-    replay was batched); they follow the same law.  Raises ValueError when
-    the inventory y0[3] is not integral.
+    All paths draw from one generator, ``default_rng(seed)``, so a seed
+    reproduces the report exactly: first the external orders of the whole
+    horizon, then, pass by pass, the jump budgets and signal noise of the
+    paths still running.  Path i's draws depend on the other paths, so the
+    paths of an n-path run are not a prefix of a larger run, and they differ
+    from ``simulate_path`` paths seeded with ``SeedSequence(seed).spawn(n)``
+    children; they follow the same law.  Raises ValueError when the
+    inventory y0[3] is not integral.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")

@@ -293,6 +293,24 @@ def test_config_missing_required_key_names_it(tmp_path, caplog):
     )
 
 
+@pytest.mark.parametrize("mode", ["solve", "validate", "refine", "baseline"])
+def test_negative_seed_is_a_config_error_before_any_solve(
+    tiny_config, tmp_path, caplog, mode
+):
+    # a negative seed once reached np.random.default_rng only after the
+    # validate solve had written its CSVs, and died there with exit 1
+    from_file = tmp_path / "seeded.cfg"
+    from_file.write_text(TINY_CONFIG + "seed = -1\n")
+    message = "bad value for key seed: -1 (must be >= 0)"
+    for argv in (["--config", str(tiny_config), "--seed", "-1"],
+                 ["--config", str(from_file)]):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(argv + ["--mode", mode, "--out", str(tmp_path / "out")]) == 2
+        assert any(message in rec.message for rec in caplog.records)
+        assert not (tmp_path / "out").exists()
+
+
 def test_unknown_mode_flag_is_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc_info:
         main(["--mode", "simulate"])

@@ -115,9 +115,12 @@ def test_initial_impulse_cascade_unwinds_a_mispositioned_book(
 
 
 def test_estimates_are_reproducible_and_seed_sensitive(fast_params, fast_sol):
-    a = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 50, seed=5)
-    b = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 50, seed=5)
-    c = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 50, seed=6)
+    # From a flat book about 3.7% of paths trade at all, so 50 paths all
+    # realize exactly zero (stderr 0) on about 17% of seeds; 400 paths do so
+    # with probability below 1e-6.
+    a = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 400, seed=5)
+    b = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 400, seed=5)
+    c = estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 400, seed=6)
     assert a.mean == b.mean and a.stderr == b.stderr
     assert a.mean != c.mean
     assert a.stderr > 0.0
@@ -125,12 +128,29 @@ def test_estimates_are_reproducible_and_seed_sensitive(fast_params, fast_sol):
 
 
 def test_stderr_shrinks_like_root_n(fast_params, fast_sol):
-    y0 = (0.0, 100.0, 0.0, 0)
-    small = estimate_performance(fast_params, fast_sol, y0, 400, seed=5)
-    big = estimate_performance(fast_params, fast_sol, y0, 800, seed=6)
-    ratio = big.stderr / small.stderr
-    # 1/sqrt(2) ~ 0.707 up to sampling noise
-    assert 0.55 < ratio < 0.87
+    """The reported stderr is the spread of the mean at n and at 4n paths.
+
+    At each path count, the variance of the means of independent seeds over
+    their mean reported stderr^2 is F distributed, with degrees of freedom
+    shrunk for the excess kurtosis (Shoemaker 2003), which the spread of the
+    reported stderr^2 across seeds estimates.  The false-failure budget of
+    1e-4 is split evenly over the two path counts.  Paths that share draws,
+    say every path reusing one path's jump budgets, make the means vary far
+    more than stderr^2 says.
+    """
+    y0 = (0.0, 100.0, 12.0, 1)
+    n_seeds, level = 20, 1e-4 / 2
+    for n in (100, 400):
+        reports = [estimate_performance(fast_params, fast_sol, y0, n, seed=seed)
+                   for seed in range(n_seeds)]
+        means = np.array([r.mean for r in reports])
+        se2 = np.array([r.stderr**2 for r in reports])
+        # var(s^2)/sigma^4 = 2/(n-1) + kurtosis/n, for the paths and the means
+        kurtosis = max(n * (se2.var(ddof=1) / se2.mean() ** 2 - 2.0 / (n - 1)), 0.0)
+        dof_means = 2.0 / (2.0 / (n_seeds - 1) + kurtosis / (n * n_seeds))
+        dof_se2 = 2.0 * n_seeds / (2.0 / (n - 1) + kurtosis / n)
+        lo, hi = stats.f.ppf([level / 2, 1.0 - level / 2], dof_means, dof_se2)
+        assert lo <= means.var(ddof=1) / se2.mean() <= hi, n
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -183,6 +203,26 @@ def test_replay_counts_in_the_frozen_model(frozen_sol):
     assert report.chatter_capped == 0
     expected = p.gamma_b * (1.0 - np.exp(-p.k * p.T)) / p.k
     assert abs(report.events_per_path - expected) <= 4.5 * np.sqrt(expected / n)
+
+
+def test_a_step_end_moves_the_path_to_the_next_policy(frozen_sol):
+    # idle for steps 0..3, then every q = 1 node sells: the unit goes at the
+    # end of step 3, t_4 = 0.4, after accruing phi * t_4 of holding penalty
+    p, sol = frozen_sol
+    g, s_first = sol.grid, 4
+    zeros = np.zeros(g.n_nodes, dtype=np.int8)
+    sell = (g.q_of_node == 1).astype(np.int8)
+    idle, seller = Policy(zeros, zeros, zeros, zeros), Policy(zeros, zeros, -sell, sell)
+    policies = [idle] * s_first + [seller] * (len(sol.policies) - s_first)
+    staged = dataclasses.replace(sol, policies=policies)
+    y0 = (2.0, 100.0, 0.0, 1)
+    expected = 2.0 + 100.0 - p.upsilon - p.phi * g.times[s_first]
+    report = estimate_performance(p, staged, y0, 50, seed=0)
+    assert report.own_orders_per_path == 1.0
+    assert report.mean == pytest.approx(expected, abs=1e-9)
+    rec = simulate_path(p, staged, y0, seed=0)
+    assert rec.realized_objective == pytest.approx(expected, abs=1e-9)
+    assert [t for t, _, _ in rec.own_order_cash] == [g.times[s_first]]
 
 
 def test_solved_policy_never_hits_the_cascade_cap(fast_params, fast_sol):
@@ -263,8 +303,10 @@ def test_batched_replay_agrees_with_the_scalar_simulator(model, request):
     advance and split evenly over three checks: the objective means (normal
     approximation), the objective variances (F approximation with degrees of
     freedom shrunk for the excess kurtosis, Shoemaker 2003) and the mean own
-    orders per path (normal approximation).  So a correct replay fails this
-    test with probability at most 1e-4.
+    orders per path (normal approximation).  A fourth check, the mean events
+    per path (external orders plus price jumps, normal approximation), has
+    its own budget of 1e-4 / 3.  So a correct replay fails this test with
+    probability at most 4e-4 / 3.
     """
     p, sol = request.getfixturevalue(model)
     y0 = (0.0, 100.0, 12.0, 1)
@@ -294,3 +336,11 @@ def test_batched_replay_agrees_with_the_scalar_simulator(model, request):
     own = np.array([len(rec.own_order_cash) for rec in records])
     se = np.sqrt(own.var(ddof=1) * (1.0 / n_scalar + 1.0 / n_batched))
     assert abs(batched.own_orders_per_path - own.mean()) <= z_limit * se
+
+    events = np.array([
+        len(rec.ext_buy_times) + len(rec.ext_sell_times)
+        + len(rec.jump_up_times) + len(rec.jump_down_times)
+        for rec in records
+    ])
+    se = np.sqrt(events.var(ddof=1) * (1.0 / n_scalar + 1.0 / n_batched))
+    assert abs(batched.events_per_path - events.mean()) <= z_limit * se
