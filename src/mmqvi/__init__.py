@@ -37,8 +37,7 @@ from .policy_iteration import (
     verify_theorem_conditions,
 )
 from .presets import default_grid_spec, default_params
-from .scheme import (Policy, SparseSystem, apply_caps, assemble_rhs, assemble_system,
-                     residual, row_types)
+from .scheme import Policy, SparseSystem, apply_caps, assemble_system, residual, row_types
 from .solver import (
     ExplicitInstabilityError,
     RefinementResult,
@@ -79,7 +78,6 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "apply_caps",
-    "assemble_rhs",
     "assemble_system",
     "build_grid",
     "build_stencils",

@@ -121,11 +121,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 def _convert(key: str, value: str):
     caster = CONFIG_KEYS[key]
     try:
-        return caster(value)
+        converted = caster(value)
     except ValueError:
         raise ConfigError(
             f"bad value for key {key}: {value!r} (expected {caster.__name__})"
         ) from None
+    if caster is float and not np.isfinite(converted):
+        raise ConfigError(f"bad value for key {key}: {value!r} (must be finite)")
+    return converted
 
 
 def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:

@@ -4,8 +4,8 @@ For every admissible policy A(P) is a nonsingular M-matrix, so A = M - N
 with M the tridiagonal band of A and N = M - A >= 0 is a regular splitting:
 the sweeps x <- M^-1 (N x + b) converge, and from a subsolution (A x <= b)
 they never decrease (Varga 1962, Thm 3.13).  ``split`` takes a stack of row
-blocks apart once and ``padded`` lays N's rows out at one fixed length, so
-the M and N of a selection of its rows are index gathers (``gather``).
+blocks apart once into the band and a table of N's rows at one fixed length,
+so the M and N of a selection of its rows are index gathers (``gather``).
 An impulse row x_i - x_j = b_i lies wholly in N, so after each tridiagonal
 solve a sweep closes every impulse chain exactly: x_i <- x_end + (sum of b
 on the chain).  The impulse block I - S has a nilpotent S >= 0, so this
@@ -113,13 +113,16 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
 
 
 def split(matrix: sp.csr_matrix):
-    """Split ``matrix``, a CSR stack of square row blocks, in place.
+    """Take ``matrix``, a CSR stack of square row blocks, apart into its band
+    and N, leaving ``matrix`` unchanged.
 
     The diagonal of row r is its column r mod n_cols.  Returns (band,
-    n_part): band is a 3 x n_rows array whose rows (sub, diag, sup) hold per
-    row the entries one column left of, on and right of the diagonal, and
-    n_part = band - matrix is ``matrix`` itself with its band removed and
-    the rest negated.
+    (cols, vals)): band is a 3 x n_rows array whose rows (sub, diag, sup)
+    hold per row the entries one column left of, on and right of the
+    diagonal, and (cols, vals), both n_rows x K, are the rows of N = band -
+    ``matrix``, the nonzero entries off the band negated, as a table of K
+    entries each, K the length of the longest.  A shorter row keeps its
+    entries in order and is padded with zeros at its diagonal column.
     """
     n_rows, n_cols = matrix.shape
     # index-width temporaries: this runs on the largest matrix of a solve
@@ -127,35 +130,26 @@ def split(matrix: sp.csr_matrix):
     offset = np.remainder(rows, n_cols)
     np.subtract(matrix.indices, offset, out=offset)
     band = np.empty((3, n_rows))
+    off = matrix.data != 0.0
     for piece, k in zip(band, (-1, 0, 1)):
         at = offset == k
         piece[:] = np.bincount(rows[at], matrix.data[at], minlength=n_rows)
-        matrix.data[at] = 0.0
-    np.negative(matrix.data, out=matrix.data)
-    matrix.eliminate_zeros()
-    return band, matrix
-
-
-def padded(matrix: sp.csr_matrix):
-    """The rows of CSR ``matrix`` as a table of K entries each, K the length
-    of its longest row: (cols, vals), both n_rows x K.  A shorter row keeps
-    its entries in order and is padded with explicit zeros at its diagonal
-    column, r mod n_cols."""
-    n_rows, n_cols = matrix.shape
-    counts = np.diff(matrix.indptr)
+        off[at] = False
+    counts = np.bincount(rows[off], minlength=n_rows)
+    del rows, offset  # freed before the table is built, which lowers the peak
     width = int(counts.max(initial=0))
     diagonal = np.remainder(np.arange(n_rows, dtype=matrix.indices.dtype), n_cols)
     cols = np.repeat(diagonal[:, None], width, axis=1)
     vals = np.zeros((n_rows, width))
-    # entry e of row r goes to slot r*width + (e - indptr[r])
-    at = np.arange(matrix.nnz) + np.repeat(width * np.arange(n_rows) - matrix.indptr[:-1],
-                                           counts)
-    cols.ravel()[at], vals.ravel()[at] = matrix.indices, matrix.data
-    return cols, vals
+    # off-band entry e of row r goes to slot r*width + (e - first of row r)
+    first = np.cumsum(counts) - counts
+    at = np.arange(counts.sum()) + np.repeat(width * np.arange(n_rows) - first, counts)
+    cols.ravel()[at], vals.ravel()[at] = matrix.indices[off], -matrix.data[off]
+    return band, (cols, vals)
 
 
 def gather(table, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """Rows ``rows`` of a ``padded`` table as a CSR matrix with n_cols
+    """Rows ``rows`` of a ``split`` table of N as a CSR matrix with n_cols
     columns and K stored entries per row, padding included."""
     cols, vals = (np.take(part, rows, axis=0).ravel() for part in table)
     indptr = table[0].shape[1] * np.arange(rows.size + 1, dtype=cols.dtype)
@@ -183,12 +177,6 @@ class Splitting:
         if diag.size >= 3:
             *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
             self._lu = lu if info == 0 else None
-
-    @classmethod
-    def of(cls, matrix) -> "Splitting":
-        """Splitting of a square matrix, without chains; raises
-        SingularSystemError for a zero diagonal entry."""
-        return cls(*split(_checked(matrix).copy()))
 
     def matrix(self) -> sp.csr_matrix:
         """A = M - N, built anew."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ParameterWarning(UserWarning):
@@ -67,6 +67,9 @@ class ModelParams:
     alpha_cap: float
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in _STRICT_POSITIVE:
             value = getattr(self, name)
             if not value > 0:

@@ -12,14 +12,15 @@ in finitely many steps; monotonicity is asserted at verification level
 ``per-step`` and above.
 
 Every row of A(P) is one of the grid's row types, which are split once per
-grid into band pieces and a padded table of N's rows, and checked once for
+grid into band pieces and a table of N's rows, and checked once for
 the row-local Z-matrix and dominance conditions (Azimzadeh & Forsyth 2016):
 per row type, its interior and boundary dominance margins and one word of
 failure flags.  Per policy the report, the splitting and the right side
 gather their rows from these tables, and one impulse-chain walk by pointer
 doubling verifies the impulse graph and gives the splitting the chains it
 closes; no A(P) is built on the solve path.  Improvement reads the
-problem's ``scheme.StepTables``.
+problem's ``scheme.StepTables``.  The problem's ``SystemCache`` holds all
+of these tables and is the one input of ``iterate``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
@@ -77,8 +77,8 @@ class PiterConfig:
     verification: str = "per-step"
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.verification not in VERIFICATION_LEVELS:
@@ -150,24 +150,22 @@ class VerificationReport:
 class SystemCache:
     """Per-grid tables of one problem and the system of the last solved policy.
 
-    ``problem`` is the (grid, model, stencils) the cache is built for.  Its
-    ``scheme.row_types`` are split once (``linsolve.split``) into the
-    ``band`` pieces, a 3 x n_row_types array, and ``n_types``, N's rows as
-    a ``linsolve.padded`` table; ``facts`` are the ``_row_facts`` of the row
-    types and ``step`` the ``scheme.StepTables`` of improvement and right
-    side.  No other copy of the row types is kept.  The one entry is
-    ``rows``, the ``policy_rows`` selection that fixes A(P), with its
-    verification ``report`` and ``split``, the ``linsolve.Splitting`` of A(P).
+    The problem's ``scheme.row_types`` are split once (``linsolve.split``)
+    into the ``band`` pieces, a 3 x n_row_types array, and ``n_types``, the
+    table of N's rows; ``facts`` are the ``_row_facts`` of the row types,
+    ``step`` the ``scheme.StepTables`` of improvement and right side and
+    ``mode`` the stencil mode.  No other copy of the row types is kept.  The
+    one entry is ``rows``, the ``policy_rows`` selection that fixes A(P),
+    with its verification ``report`` and ``split``, the
+    ``linsolve.Splitting`` of A(P).
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
-        self.problem = (grid, p, st)
-        self.band, n_types = linsolve.split(scheme.row_types(grid, p, st))
-        impulse = np.arange(n_types.shape[0]) >= 4 * grid.n_nodes
-        self.facts = _row_facts(_row_checks(self.band, n_types), impulse,
+        self.band, self.n_types = linsolve.split(scheme.row_types(grid, p, st))
+        impulse = np.arange(self.band.shape[1]) >= 4 * grid.n_nodes
+        self.facts = _row_facts(_row_checks(self.band, self.n_types), impulse,
                                 np.tile(st.boundary, 6 * grid.n_q) & ~impulse)
-        self.n_types = linsolve.padded(n_types)
-        self.step = scheme.StepTables(grid, p, st)
+        self.step, self.mode = scheme.StepTables(grid, p, st), st.mode
         self.rows = self.report = self.split = None
 
     def load(self, policy: Policy) -> str:
@@ -175,12 +173,12 @@ class SystemCache:
         entry already selects the rows of ``policy``, else ``fresh`` after
         gathering the report and splitting.  Impulse chains are closed only
         when the walk finds every one ending in a continuation node."""
-        grid, _, st = self.problem
+        grid = self.step.grid
         rows = scheme.policy_rows(grid, policy)
         if np.array_equal(rows, self.rows):
             return "reused"
         _, failing_node, chains = _impulse_chains(grid, policy)
-        self.report = _report(self.facts, rows, st.mode, failing_node)
+        self.report = _report(self.facts, rows, self.mode, failing_node)
         self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
                                         linsolve.gather(self.n_types, rows, grid.n_nodes),
                                         chains)
@@ -192,15 +190,12 @@ class SystemCache:
         return self.step.rhs(self.rows, v_next)
 
 
-def improve_policy(
-    grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray,
-    tables: scheme.StepTables | None = None,
-) -> Policy:
+def improve_policy(tables: scheme.StepTables, v: np.ndarray, v_next: np.ndarray) -> Policy:
     """Node-wise argmax policy of the step residual at the iterate ``v``;
     ``tables`` as ``scheme.residual`` takes them.
 
     Admissible by construction, so it is not validated."""
-    _, policy = scheme.residual(grid, p, st, v, v_next, tables)
+    _, policy = scheme.residual(tables, v, v_next)
     return policy
 
 
@@ -218,24 +213,21 @@ def verify_theorem_conditions(
     than failures.  The row conditions are read off ``system.matrix`` itself,
     at the module tolerances ``Z_TOL`` and ``MARGIN_TOL``.
     """
-    checks = _row_checks(*linsolve.split(system.matrix.tocsr(copy=True)))
+    checks = _row_checks(*linsolve.split(system.matrix))
     facts = _row_facts(checks, system.impulse_mask, system.boundary_rows)
     return _report(facts, np.arange(checks.shape[1]), system.mode,
                    _impulse_chains(grid, policy)[1])
 
 
-def _row_checks(band, n_part: sp.csr_matrix) -> np.ndarray:
+def _row_checks(band, table) -> np.ndarray:
     """Per-row (diagonal, positive off-diagonal flag, dominance margin, row
-    sum) of a matrix ``linsolve.split`` into ``band`` and ``n_part``, as a
-    4 x n_rows array; a stack of row blocks is checked row by row."""
+    sum) of a matrix ``linsolve.split`` into ``band`` and the ``table`` of
+    N, as a 4 x n_rows array; a stack of row blocks is checked row by row."""
     sub, diag, sup = band
-    n = diag.size
-    rows = np.repeat(np.arange(n), np.diff(n_part.indptr))
-    off = n_part.data  # = -A off the band
-    pos_off = ((sub > Z_TOL) | (sup > Z_TOL)
-               | (np.bincount(rows[off < -Z_TOL], minlength=n) > 0))
-    margin = diag - np.abs(sub) - np.abs(sup) - np.bincount(rows, np.abs(off), minlength=n)
-    row_sums = sub + diag + sup - np.bincount(rows, off, minlength=n)
+    off = table[1]  # = -A off the band; the padding zeros change no sum
+    pos_off = (sub > Z_TOL) | (sup > Z_TOL) | (off < -Z_TOL).any(axis=1)
+    margin = diag - np.abs(sub) - np.abs(sup) - np.abs(off).sum(axis=1)
+    row_sums = sub + diag + sup - off.sum(axis=1)
     return np.stack([diag, pos_off, margin, row_sums])
 
 
@@ -354,15 +346,10 @@ def _stopping_metric(v_new: np.ndarray, v_old: np.ndarray) -> float:
 
 
 def iterate(
-    grid: Grid,
-    p: ModelParams,
-    st: StencilSet,
-    v0: np.ndarray,
-    v_next: np.ndarray,
-    cfg: PiterConfig = PiterConfig(),
-    cache: SystemCache | None = None,
+    cache: SystemCache, v0: np.ndarray, v_next: np.ndarray, cfg: PiterConfig = PiterConfig()
 ) -> tuple[np.ndarray, Policy, PiterTrace]:
-    """Run policy iteration from warm start ``v0`` for one time step.
+    """Run policy iteration from warm start ``v0`` for one time step of the
+    problem of ``cache``.
 
     Returns the converged value vector, the policy whose system it solves,
     and the iteration trace.  Raises PolicyIterationError when the iteration
@@ -377,26 +364,20 @@ def iterate(
     raises VerificationError when its report has a hard failure.  Each solve
     sweeps the splitting from the current iterate; a solve whose sweeps miss
     the residual contract within ``linsolve.SWEEP_BUDGET`` falls back to
-    sparse LU.  Without ``cache`` one is built for this problem; pass one
-    cache to successive calls to carry the split row types and the splitting
-    across time steps.  Raises ValueError for a cache built for another
-    grid, model or stencils.
+    sparse LU.  Pass one cache to successive calls to carry the split row
+    types and the splitting across time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
     prev_policy: Policy | None = None
-    if cache is None:
-        cache = SystemCache(grid, p, st)
-    elif cache.problem != (grid, p, st):
-        raise ValueError("cache was built for another grid, model or stencils")
     verify = cfg.verification != "off"
     phase_s = trace.phase_s
     clock = time.perf_counter
 
     for _ in range(cfg.max_iter):
         started = clock()
-        policy = improve_policy(grid, p, st, v, v_next, cache.step)
+        policy = improve_policy(cache.step, v, v_next)
         phase_s["improve"] += clock() - started
         if prev_policy is not None:
             trace.switched.append(policy.switched_nodes(prev_policy))
@@ -436,7 +417,7 @@ def iterate(
         if metric < cfg.tol:
             trace.converged_by = "metric"
             if cfg.verification == "exhaustive":
-                _check_complementarity(grid, p, st, v, v_next, cfg, cache.step)
+                _check_complementarity(cache.step, v, v_next, cfg)
             return v, policy, trace
 
     raise PolicyIterationError(
@@ -446,11 +427,11 @@ def iterate(
     )
 
 
-def _check_complementarity(grid, p, st, v, v_next, cfg, tables) -> None:
+def _check_complementarity(tables, v, v_next, cfg) -> None:
     """At termination the node-wise residual max must vanish to solve scale."""
-    res, _ = scheme.residual(grid, p, st, v, v_next, tables)
+    res, _ = scheme.residual(tables, v, v_next)
     scale = float(np.max(np.abs(v), initial=1.0))
-    bound = (10.0 * cfg.tol * max(1.0, scale) + 100.0 * cfg.solver_tol) / grid.d_t
+    bound = (10.0 * cfg.tol * max(1.0, scale) + 100.0 * cfg.solver_tol) / tables.grid.d_t
     worst = float(np.max(np.abs(res)))
     if worst > bound:
         raise PolicyIterationError(

@@ -171,9 +171,8 @@ class StepTables:
         )
 
     def rhs(self, rows: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-        """b(P) of the policy whose ``policy_rows`` are ``rows``, as
-        ``assemble_rhs`` builds it: v^{n+1} + dt*f gathered by row type,
-        -upsilon on the impulse rows."""
+        """b(P) of the policy whose ``policy_rows`` are ``rows``: v^{n+1} +
+        dt*f gathered by row type, -upsilon on the impulse rows."""
         rhs = v_next + self.dt_reward[rows]
         rhs[rows >= 4 * self.grid.n_nodes] = -self.p.upsilon
         return rhs
@@ -232,18 +231,15 @@ def _branches(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     return cont, la, lb, imp, z
 
 
-def residual(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: np.ndarray,
-             tables: StepTables | None = None):
+def residual(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     """Node-wise scheme residual and its argmax policy.
 
     For every node, the max over the admissible continuation choices of
     (v_next - v)/dt + L v + f and the admissible impulse values B v - upsilon.
     At the solution of the step this max is zero node-wise.  Ties break
     toward continuation, unquoted sides, and impulse direction +1.
-    ``tables`` are the problem's ``StepTables``, built here when not given.
+    ``tables`` are the problem's ``StepTables``.
     """
-    if tables is None:
-        tables = StepTables(grid, p, st)
     cont, la, lb, imp, z = _branches(tables, v, v_next)
     d = imp > cont
     res = np.maximum(cont, imp)
@@ -254,20 +250,6 @@ def residual(grid: Grid, p: ModelParams, st: StencilSet, v: np.ndarray, v_next: 
         d=d.ravel().astype(np.int8),
     )
     return res.ravel(), policy
-
-
-def assemble_rhs(
-    grid: Grid, p: ModelParams, policy: Policy, v_next: np.ndarray
-) -> np.ndarray:
-    """Right side b(P): v^{n+1} + dt*f on continuation rows, -upsilon on impulse rows.
-
-    Unlike ``assemble_system`` it does not validate ``policy``.
-    """
-    rhs = v_next + grid.d_t * running_reward(
-        p, grid.alpha_of_node, grid.q_of_node.astype(float), policy.la, policy.lb
-    )
-    rhs[policy.d.astype(bool)] = -p.upsilon
-    return rhs
 
 
 def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
@@ -314,12 +296,6 @@ def policy_rows(grid: Grid, policy: Policy) -> np.ndarray:
     return rows + np.arange(grid.n_nodes)
 
 
-def policy_masks(grid: Grid, st: StencilSet, policy: Policy):
-    """(impulse_mask, boundary_rows) of A(P), as ``SparseSystem`` holds them."""
-    impulse = policy.d.astype(bool)
-    return impulse, np.tile(st.boundary, grid.n_q) & ~impulse
-
-
 def assemble_system(
     grid: Grid,
     p: ModelParams,
@@ -334,6 +310,7 @@ def assemble_system(
     enters b(P) alone.
     """
     policy.validate(grid)
-    return SparseSystem(row_types(grid, p, st)[policy_rows(grid, policy)],
-                        assemble_rhs(grid, p, policy, v_next),
-                        *policy_masks(grid, st, policy), st.mode)
+    rows = policy_rows(grid, policy)
+    impulse = policy.d.astype(bool)
+    return SparseSystem(row_types(grid, p, st)[rows], StepTables(grid, p, st).rhs(rows, v_next),
+                        impulse, np.tile(st.boundary, grid.n_q) & ~impulse, st.mode)

@@ -33,6 +33,9 @@ from .scheme import Policy, apply_caps
 
 log = logging.getLogger(__name__)
 
+# How far a surface may leave the stability envelope before a solve fails.
+ENVELOPE_TOL = 1e-8
+
 
 class StabilityEnvelopeError(RuntimeError):
     """A computed surface left the a-priori bounds; names level and node."""
@@ -101,14 +104,12 @@ def terminal_vector(grid: Grid, p: ModelParams) -> np.ndarray:
     return np.repeat(g_by_q, grid.n_alpha)
 
 
-def _check_envelope(
-    p: ModelParams, grid: Grid, level: int, v: np.ndarray, tol: float
-) -> None:
+def _check_envelope(p: ModelParams, grid: Grid, level: int, v: np.ndarray) -> None:
     if not np.isfinite(v).all():
         node = int(np.flatnonzero(~np.isfinite(v))[0])
         raise StabilityEnvelopeError(level, node, float(v[node]), (np.nan, np.nan))
     lo, hi = stability_bounds(p, grid.times[level])
-    bad = (v < lo - tol) | (v > hi + tol)
+    bad = (v < lo - ENVELOPE_TOL) | (v > hi + ENVELOPE_TOL)
     if bad.any():
         node = int(np.flatnonzero(bad)[0])
         raise StabilityEnvelopeError(level, node, float(v[node]), (lo, hi))
@@ -119,7 +120,6 @@ def solve_backward(
     spec: GridSpec,
     mode: str = "clamp",
     piter: PiterConfig = PiterConfig(),
-    envelope_tol: float = 1e-8,
 ) -> Solution:
     """Solve all time levels backward from the terminal surface.
 
@@ -135,7 +135,7 @@ def solve_backward(
     n_levels = spec.n_time_steps
 
     v = terminal_vector(grid, p)
-    _check_envelope(p, grid, n_levels, v, envelope_tol)
+    _check_envelope(p, grid, n_levels, v)
     surfaces: list[ValueSurface | None] = [None] * (n_levels + 1)
     surfaces[n_levels] = ValueSurface(n_levels, grid.times[-1], v)
     policies: list[Policy | None] = [None] * n_levels
@@ -147,7 +147,7 @@ def solve_backward(
 
     for n in range(n_levels - 1, -1, -1):
         try:
-            v, policy, trace = iterate(grid, p, st, v, v, piter, cache)
+            v, policy, trace = iterate(cache, v, v, piter)
         except PolicyIterationError as exc:
             raise PolicyIterationError(f"time level {n}: {exc}", exc.trace) from exc
         except VerificationError as exc:
@@ -155,7 +155,7 @@ def solve_backward(
         except SolveError as exc:
             raise type(exc)(f"time level {n}: {exc}", exc.best_iterate,
                             exc.residual_norm, exc.row) from exc
-        _check_envelope(p, grid, n, v, envelope_tol)
+        _check_envelope(p, grid, n, v)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
         policies[n] = policy
         for phase, seconds in trace.phase_s.items():
@@ -229,7 +229,6 @@ def solve_explicit_baseline(
     p: ModelParams,
     spec: GridSpec,
     mode: str = "clamp",
-    envelope_tol: float = 1e-8,
 ) -> Solution:
     """Explicit one-step scheme with the impulse max as a post-projection.
 
@@ -258,7 +257,7 @@ def solve_explicit_baseline(
         if not np.isfinite(v).all():
             raise ExplicitInstabilityError(n, "non-finite values", cfl)
         lo, hi = stability_bounds(p, grid.times[n])
-        if v.min() < lo - envelope_tol or v.max() > hi + envelope_tol:
+        if v.min() < lo - ENVELOPE_TOL or v.max() > hi + ENVELOPE_TOL:
             raise ExplicitInstabilityError(n, "stability envelope violated", cfl)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
         policies[n] = apply_caps(

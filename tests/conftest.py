@@ -19,6 +19,7 @@ import pytest
 
 import mmqvi
 from mmqvi import GridSpec, ModelParams, ParameterWarning, apply_caps
+from mmqvi.linsolve import Splitting, _checked, gather, split
 from oracles import continuation_row, impulse_row, unflatten
 
 
@@ -50,6 +51,18 @@ def residual_rounding(a, b, x) -> float:
     terms = abs(a) @ np.abs(x) + np.abs(b)
     n = int(np.diff(a.indptr).max()) + 2
     return 2.0 * n * np.finfo(float).eps * float(terms.max())
+
+
+def splitting_of(matrix) -> Splitting:
+    """``Splitting`` of a square matrix, without chains, whose N holds the
+    off-band entries alone (no padding zeros, which would change the
+    sparsity of its LU fallback); raises SingularSystemError for a zero
+    diagonal entry."""
+    matrix = _checked(matrix)
+    band, table = split(matrix)
+    n_part = gather(table, np.arange(matrix.shape[0]), matrix.shape[1])
+    n_part.eliminate_zeros()
+    return Splitting(band, n_part)
 
 
 def admissible(grid, la, lb, d, zbit):

@@ -4,7 +4,9 @@ Only tests use these.  They restate, one node and one stencil at a time,
 what ``mmqvi.grid`` and ``mmqvi.scheme`` compute for whole grids at once:
 the shift stencils behind ``StencilSet.up``/``down``, the rows behind
 ``scheme.row_types``, the node residual behind ``scheme.residual``, and the
-impulse chains behind ``policy_iteration._impulse_chains``.
+impulse chains behind ``policy_iteration._impulse_chains``.  ``assemble_rhs``
+builds b(P) from a policy's controls, as ``scheme.StepTables.rhs`` gathers it
+by row type.
 """
 
 from __future__ import annotations
@@ -247,3 +249,14 @@ def walk_impulse_chain(grid: Grid, d, z, start: int):
         if d[node] == 0:
             return nodes, node
     return nodes, None
+
+
+def assemble_rhs(grid: Grid, p: ModelParams, policy, v_next: np.ndarray) -> np.ndarray:
+    """Right side b(P): v^{n+1} + dt*f on continuation rows, -upsilon on
+    impulse rows, from the policy's controls.  It does not validate
+    ``policy``."""
+    rhs = v_next + grid.d_t * running_reward(
+        p, grid.alpha_of_node, grid.q_of_node.astype(float), policy.la, policy.lb
+    )
+    rhs[policy.d.astype(bool)] = -p.upsilon
+    return rhs

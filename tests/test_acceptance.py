@@ -34,7 +34,7 @@ from mmqvi import (
     verify_theorem_conditions,
 )
 from mmqvi.model import stability_bounds
-from mmqvi.policy_iteration import _impulse_chains
+from mmqvi.policy_iteration import SystemCache, _impulse_chains
 
 from oracles import continuation_row, impulse_row, residual_at_node, unflatten
 
@@ -97,7 +97,7 @@ def test_criterion_03_brute_force_equivalence(
     toy_grid, toy_params, toy_stencils, toy_enumeration, capsys
 ):
     v_next = toy_enumeration["v_next"]
-    v_pi, _, trace = iterate(toy_grid, toy_params, toy_stencils, v_next, v_next)
+    v_pi, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
     v_bf = toy_enumeration["values"].max(axis=0)
     gap = float(np.abs(v_pi - v_bf).max())
     ok = gap <= 1e-9

@@ -311,6 +311,23 @@ def test_negative_seed_is_a_config_error_before_any_solve(
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("phi", "nan"), ("sigma", "inf"), ("mc_alpha0", "nan")])
+def test_non_finite_values_are_config_errors_before_any_solve(
+    tmp_path, caplog, key, value
+):
+    # phi = nan once solved and left the envelope with exit 1; mc_alpha0 =
+    # nan wrote both CSVs, then died in Solution.value_at with a traceback
+    path = tmp_path / "non_finite.cfg"
+    path.write_text(re.sub(rf"^{key} = .*\n", "", TINY_CONFIG, flags=re.MULTILINE)
+                    + f"{key} = {value}\n")
+    with caplog.at_level(logging.ERROR):
+        assert main(["--config", str(path), "--mode", "validate",
+                     "--out", str(tmp_path / "out")]) == 2
+    message = f"bad value for key {key}: '{value}' (must be finite)"
+    assert any(message in rec.message for rec in caplog.records)
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_mode_flag_is_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc_info:
         main(["--mode", "simulate"])

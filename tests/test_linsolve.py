@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import mmqvi.linsolve
-from conftest import residual_norm, residual_rounding
+from conftest import residual_norm, residual_rounding, splitting_of
 from mmqvi import SingularSystemError, SolveError
-from mmqvi.linsolve import Splitting, solve
+from mmqvi.linsolve import solve
 
 
 def random_dominant_system(n, seed, margin=1.0):
@@ -42,7 +42,7 @@ def test_recovers_known_solution(method):
     if method == "direct":
         report = solve(a, a @ v_true)
     else:
-        report = Splitting.of(a).solve(a @ v_true)
+        report = splitting_of(a).solve(a @ v_true)
         assert report.method == "splitting"
     np.testing.assert_allclose(report.solution, v_true, rtol=0, atol=1e-8)
     assert report.residual_norm <= 1e-10 * (1.0 + np.abs(a @ v_true).max())
@@ -51,7 +51,7 @@ def test_recovers_known_solution(method):
 def test_factorization_solves_many_right_hand_sides():
     # the splitting factors its tridiagonal band once and sweeps every rhs
     a, _ = random_dominant_system(150, seed=4)
-    split = Splitting.of(a)
+    split = splitting_of(a)
     rng = np.random.default_rng(5)
     for _ in range(4):
         v_true = rng.normal(size=150)
@@ -68,7 +68,7 @@ def test_factorization_solves_many_right_hand_sides():
 
 def test_splitting_separates_the_band_from_the_rest():
     a, _ = random_dominant_system(40, seed=6)
-    split = Splitting.of(a)
+    split = splitting_of(a)
     dense = a.toarray()
     band = np.triu(np.tril(dense, 1), -1)
     np.testing.assert_array_equal(split.n_part.toarray(), band - dense)
@@ -85,7 +85,7 @@ def test_splitting_falls_back_to_lu_after_its_budget(monkeypatch):
     calls = []
     monkeypatch.setattr(mmqvi.linsolve, "SWEEP_BUDGET", 8)
     monkeypatch.setattr(mmqvi.linsolve, "solve", lambda *args: calls.append(1) or solve(*args))
-    report = Splitting.of(a).solve(a @ v_true)
+    report = splitting_of(a).solve(a @ v_true)
     assert calls == [1]
     assert report.method == "direct-lu" and report.iterations == 8
     assert report.residual_norm <= 1e-10 * (1.0 + np.abs(a @ v_true).max())
@@ -98,7 +98,7 @@ def test_diverging_sweeps_end_early_in_the_lu_fallback():
     # the sweeps instead of the budget
     a = sp.csr_matrix(np.array([[1.0, 0.0, 1e3], [0.0, 1.0, 0.0], [-1e3, 0.0, 1.0]]))
     b = np.array([1.0, 2.0, 3.0])
-    report = Splitting.of(a).solve(b)
+    report = splitting_of(a).solve(b)
     assert report.method == "direct-lu"
     assert report.iterations % mmqvi.linsolve.CHECK_EVERY == 0
     assert report.iterations < mmqvi.linsolve.SWEEP_BUDGET / 4
@@ -132,7 +132,7 @@ def test_zero_diagonal_entry_is_reported_with_its_row():
         solve(a, np.ones(2))
     assert exc_info.value.row == 1
     with pytest.raises(SingularSystemError, match="row 1"):
-        Splitting.of(a)
+        splitting_of(a)
 
 
 def test_exactly_singular_matrix():
@@ -143,10 +143,10 @@ def test_exactly_singular_matrix():
     # the LU fallback, which fails the same way.  Below 3 rows the band is
     # the whole matrix.
     with pytest.raises(SingularSystemError, match="singular"):
-        Splitting.of(a).solve(np.array([1.0, -0.01]))
+        splitting_of(a).solve(np.array([1.0, -0.01]))
     a3 = sp.block_diag([a, sp.eye(1)], format="csr")
     with pytest.raises(SingularSystemError, match="singular"):
-        Splitting.of(a3).solve(np.array([1.0, -0.01, 0.0]))
+        splitting_of(a3).solve(np.array([1.0, -0.01, 0.0]))
 
 
 def test_iterative_failure_carries_best_iterate():
@@ -155,7 +155,7 @@ def test_iterative_failure_carries_best_iterate():
     a, v_true = random_dominant_system(60, seed=3)
     b = a @ v_true
     with pytest.raises(SolveError, match="residual .* at row") as exc_info:
-        Splitting.of(a).solve(b, tol=1e-300)
+        splitting_of(a).solve(b, tol=1e-300)
     err = exc_info.value
     assert err.best_iterate is not None
     assert err.residual_norm > 0.0

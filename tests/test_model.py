@@ -1,5 +1,7 @@
 """Parameter validation and the closed-form reward/bound formulas."""
 
+import math
+
 import pytest
 
 from mmqvi import ModelParams, ParameterWarning
@@ -55,6 +57,14 @@ def make_params(**overrides) -> ModelParams:
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_strictly_positive_fields_reject_nonpositive(name, bad):
     with pytest.raises(ValueError, match=name):
+        make_params(**{name: bad})
+
+
+@pytest.mark.parametrize("name", STRICT_POSITIVE + WARN_AT_ZERO)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_float_fields_reject_non_finite_values(name, bad):
+    # nan passed every check of delta, phi and psi, and inf every check
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         make_params(**{name: bad})
 
 

@@ -1,7 +1,5 @@
 """Policy iteration: improvement, verification, and stopping behavior."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from oracles import flatten
 from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _impulse_chains, _stopping_metric
-from mmqvi.scheme import policy_rows
+from mmqvi.scheme import StepTables, policy_rows
 from mmqvi.solver import terminal_vector
 
 import mmqvi.linsolve
@@ -52,6 +50,9 @@ def cycle_policy(grid):
 def test_piter_config_validation():
     with pytest.raises(ValueError, match="tol"):
         PiterConfig(tol=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            PiterConfig(tol=bad)
     with pytest.raises(ValueError, match="max_iter"):
         PiterConfig(max_iter=0)
     with pytest.raises(ValueError, match="verification"):
@@ -70,13 +71,13 @@ def test_stopping_metric_is_relative_with_absolute_floor():
 
 def test_iterate_converges_on_the_toy_step(toy_grid, toy_params, toy_stencils):
     v_next = terminal_vector(toy_grid, toy_params)
-    v, pol, trace = iterate(toy_grid, toy_params, toy_stencils, v_next, v_next)
+    v, pol, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
     assert trace.converged_by in ("metric", "policy-repeat")
     assert 1 <= trace.iterations <= 50
     assert min(trace.min_increments) >= -1e-9
     pol.validate(toy_grid)
     # restarting from the fixed point terminates immediately
-    v2, _, trace2 = iterate(toy_grid, toy_params, toy_stencils, v, v_next)
+    v2, _, trace2 = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v, v_next)
     assert trace2.iterations <= 2
     np.testing.assert_allclose(v2, v, rtol=0, atol=1e-9)
 
@@ -85,9 +86,7 @@ def test_iterate_exhausts_budget(toy_grid, toy_params, toy_stencils):
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(PolicyIterationError, match="no convergence") as exc_info:
         iterate(
-            toy_grid,
-            toy_params,
-            toy_stencils,
+            SystemCache(toy_grid, toy_params, toy_stencils),
             v_next,
             v_next,
             PiterConfig(max_iter=1),
@@ -106,15 +105,13 @@ def test_a_decreasing_iterate_names_its_node(
     v0 = v_next + 1.0
     v0[5] += 1.0
     with pytest.raises(PolicyIterationError, match=r"decreased by \S+ at node 5 "):
-        iterate(toy_grid, toy_params, toy_stencils, v0, v_next)
+        iterate(SystemCache(toy_grid, toy_params, toy_stencils), v0, v_next)
 
 
 def test_iterate_exhaustive_verification(toy_grid, toy_params, toy_stencils):
     v_next = terminal_vector(toy_grid, toy_params)
     v, _, _ = iterate(
-        toy_grid,
-        toy_params,
-        toy_stencils,
+        SystemCache(toy_grid, toy_params, toy_stencils),
         v_next,
         v_next,
         PiterConfig(verification="exhaustive"),
@@ -131,7 +128,7 @@ def test_iterate_rejects_unsound_policies(
     )
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(VerificationError) as exc_info:
-        iterate(toy_grid, toy_params, toy_stencils, v_next, v_next)
+        iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
     assert not exc_info.value.report.path_ok
 
 
@@ -167,7 +164,7 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
     traces = []
     for pol, cfg in zip((first, second), cfgs):
         monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
-        v, _, trace = iterate(grid, p, st, v0, v_next, cfg, cache)
+        v, _, trace = iterate(cache, v0, v_next, cfg)
         assert trace.iterations == 1 and trace.converged_by == "policy-repeat"
         traces.append(trace)
         if values is not None:
@@ -233,8 +230,8 @@ def test_switched_counts_the_nodes_each_improvement_changes(
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: next(policies))
     v_next = terminal_vector(toy_grid, toy_params)
     # the second policy need not improve on the first: no monotonicity check
-    _, _, trace = iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next,
-                          PiterConfig(verification="off"))
+    _, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next - 1e3,
+                          v_next, PiterConfig(verification="off"))
     assert trace.switched == [2, 0] and trace.converged_by == "policy-repeat"
 
 
@@ -245,12 +242,12 @@ def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypat
     cache = SystemCache(toy_grid, toy_params, toy_stencils)
     v_next = terminal_vector(toy_grid, toy_params)
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: first)
-    iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+    iterate(cache, v_next - 1e3, v_next)
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: second)
     reports = []
     for _ in range(2):
         with pytest.raises(VerificationError) as exc_info:
-            iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next, cache=cache)
+            iterate(cache, v_next - 1e3, v_next)
         reports.append(exc_info.value.report)
     assert not reports[0].path_ok
     # the repeat reuses the failing entry and checks its report again
@@ -259,7 +256,7 @@ def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypat
 
 
 def test_cache_entries_hold_only_for_their_problem_and_checks(
-    toy_grid, toy_params, toy_spec, toy_stencils, monkeypatch
+    toy_grid, toy_params, toy_stencils, monkeypatch
 ):
     pol = toy_policy(toy_grid)
     # an entry solved at verification off is reused by a verifying solve,
@@ -269,19 +266,11 @@ def test_cache_entries_hold_only_for_their_problem_and_checks(
         cfgs=(PiterConfig(verification="off"), PiterConfig()),
     )
     assert splittings == 1 and t2.routes == ["reused"] and t2.reports[0] is t1.reports[0]
-    # a cache built for another grid, model or stencils is refused
     # (improve_policy still returns pol)
     cache = SystemCache(toy_grid, toy_params, toy_stencils)
     v_next = terminal_vector(toy_grid, toy_params)
-    other_p = dataclasses.replace(toy_params, k=2.0 * toy_params.k)
-    for problem in ((build_grid(toy_params, toy_spec), toy_params, toy_stencils),
-                    (toy_grid, other_p, toy_stencils),
-                    (toy_grid, toy_params, build_stencils(toy_grid, toy_params, "clamp"))):
-        with pytest.raises(ValueError, match="another grid, model or stencils"):
-            iterate(*problem, v_next - 1e3, v_next, cache=cache)
     for route in ("fresh", "reused"):
-        _, _, trace = iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next,
-                              cache=cache)
+        _, _, trace = iterate(cache, v_next - 1e3, v_next)
         assert trace.routes == [route]
 
 
@@ -289,7 +278,7 @@ def test_improve_policy_is_admissible(toy_grid, toy_params, toy_stencils):
     rng = np.random.default_rng(0)
     v = rng.normal(size=toy_grid.n_nodes)
     v_next = rng.normal(size=toy_grid.n_nodes)
-    pol = improve_policy(toy_grid, toy_params, toy_stencils, v, v_next)
+    pol = improve_policy(StepTables(toy_grid, toy_params, toy_stencils), v, v_next)
     pol.validate(toy_grid)
 
 
@@ -298,7 +287,7 @@ def test_improve_policy_is_admissible(toy_grid, toy_params, toy_stencils):
 
 def test_verifier_accepts_toy_systems(toy_grid, toy_params, toy_stencils):
     v_next = terminal_vector(toy_grid, toy_params)
-    _, pol, _ = iterate(toy_grid, toy_params, toy_stencils, v_next, v_next)
+    _, pol, _ = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
     system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
     report = verify_theorem_conditions(toy_grid, pol, system)
     assert report.sound and report.ok

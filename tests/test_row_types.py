@@ -20,7 +20,6 @@ from mmqvi import (  # noqa: E402
     PiterConfig,
     Policy,
     apply_caps,
-    assemble_rhs,
     assemble_system,
     build_grid,
     build_stencils,
@@ -36,6 +35,7 @@ from mmqvi.solver import terminal_vector  # noqa: E402
 
 from conftest import admissible, quiet_params  # noqa: E402
 from oracles import (  # noqa: E402
+    assemble_rhs,
     continuation_row,
     flatten,
     impulse_row,
@@ -98,9 +98,11 @@ def test_shift_maps_and_row_types_match_the_scalar_oracles(problem):
         )
         assert st.boundary[i] == (up.boundary or down.boundary)
 
-    rows = row_types(grid, p, st).toarray()
+    built = row_types(grid, p, st)
+    rows = built.toarray()
     m = grid.n_nodes
     assert rows.shape == (6 * m, m)
+    assert_split_rebuilds(built, rows)
     for jj in range(grid.n_q):
         for ii in range(grid.n_alpha):
             node = flatten(grid, ii, jj)
@@ -115,6 +117,32 @@ def test_shift_maps_and_row_types_match_the_scalar_oracles(problem):
                 if 0 <= jj + z < grid.n_q:
                     cols, vals, _ = impulse_row(grid, p, ii, jj, z)
                     np.testing.assert_array_equal(rows[block * m + node], dense(cols, vals, m))
+
+
+def assert_split_rebuilds(built, rows):
+    """``split`` of the row types ``built`` (dense: ``rows``) leaves them
+    unchanged, and its band minus its table of N rebuilds them exactly; K is
+    the longest off-band row, padded at the diagonal column with zeros."""
+    before = built.copy()
+    band, (cols, vals) = split(built)
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(built, part), getattr(before, part))
+    n_rows, m = rows.shape
+    r, diagonal = np.arange(n_rows), np.arange(n_rows) % m
+    off_band = (rows != 0) & (np.abs(np.arange(m) - diagonal[:, None]) > 1)
+    counts = off_band.sum(axis=1)
+    assert cols.shape == vals.shape == (n_rows, counts.max(initial=0))
+    padding = np.arange(cols.shape[1]) >= counts[:, None]
+    assert (vals[padding] == 0).all() and (vals[~padding] != 0).all()
+    np.testing.assert_array_equal(cols[padding],
+                                  np.broadcast_to(diagonal[:, None], cols.shape)[padding])
+    rebuilt = np.zeros_like(rows)
+    for piece, k in zip(band, (-1, 0, 1)):
+        inside = (diagonal + k >= 0) & (diagonal + k < m)
+        assert (piece[~inside] == 0).all()
+        rebuilt[r[inside], diagonal[inside] + k] = piece[inside]
+    np.add.at(rebuilt, (np.repeat(r, cols.shape[1]), cols.ravel()), -vals.ravel())
+    np.testing.assert_array_equal(rebuilt, rows)
 
 
 # ------------------------------------------------------ gathered verifier
@@ -310,7 +338,7 @@ def test_equal_row_selections_share_one_system(case):
         for pol, cache in ((first, shared), (second, shared),
                            (second, SystemCache(grid, p, st))):
             mp.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
-            solved.append(iterate(grid, p, st, v_next - 1.0, v_next, cfg, cache))
+            solved.append(iterate(cache, v_next - 1.0, v_next, cfg))
     _, (v_shared, _, trace), (v_fresh, _, _) = solved
     assert trace.routes == ["reused" if same else "fresh"]
     np.testing.assert_array_equal(v_shared, v_fresh)

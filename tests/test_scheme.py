@@ -15,11 +15,19 @@ import pytest
 from mmqvi import GridSpec, Policy, apply_caps, assemble_system, build_grid, build_stencils
 from mmqvi.linsolve import solve
 from mmqvi.model import terminal_value
-from mmqvi.scheme import assemble_rhs, residual
+from mmqvi.policy_iteration import SystemCache
+from mmqvi.scheme import StepTables, residual
 from mmqvi.solver import terminal_vector
 
 from conftest import quiet_params
-from oracles import continuation_row, flatten, impulse_row, residual_at_node, unflatten
+from oracles import (
+    assemble_rhs,
+    continuation_row,
+    flatten,
+    impulse_row,
+    residual_at_node,
+    unflatten,
+)
 
 
 def null_policy(grid):
@@ -192,7 +200,7 @@ def test_residual_zero_on_constants_when_rewards_vanish(no_profit_params):
     st = build_stencils(grid, p)
     c = 0.37
     v = np.full(grid.n_nodes, c)
-    res, pol = residual(grid, p, st, v, v)
+    res, pol = residual(StepTables(grid, p, st), v, v)
     assert np.abs(res).max() <= 1e-12
     assert not pol.d.any()  # impulse branch sits at -upsilon < 0
 
@@ -219,7 +227,7 @@ def test_residual_prefers_continuation_and_up_impulse_on_exact_ties():
     st = build_stencils(grid, p)
     v = np.zeros(grid.n_nodes)
     v_next = np.full(grid.n_nodes, -p.upsilon * grid.d_t)
-    res, pol = residual(grid, p, st, v, v_next)
+    res, pol = residual(StepTables(grid, p, st), v, v_next)
     d2 = pol.d.reshape(grid.n_q, grid.n_alpha)
     z2 = pol.z.reshape(grid.n_q, grid.n_alpha)
     # Where the running reward vanishes identically both branches equal
@@ -236,7 +244,7 @@ def test_residual_at_node_matches_vector_residual(toy_grid, toy_params, toy_sten
     grid, p, st = toy_grid, toy_params, toy_stencils
     v = rng.normal(size=grid.n_nodes)
     v_next = rng.normal(size=grid.n_nodes)
-    res, _ = residual(grid, p, st, v, v_next)
+    res, _ = residual(StepTables(grid, p, st), v, v_next)
     for node in range(grid.n_nodes):
         ii, jj = unflatten(grid, node)
         scalar = residual_at_node(grid, p, st, ii, jj, v[node], v, v_next)
@@ -250,8 +258,8 @@ def test_residual_vanishes_at_policy_iteration_fixed_point(
 
     grid, p, st = toy_grid, toy_params, toy_stencils
     v_next = terminal_vector(grid, p)
-    v, pol, _ = iterate(grid, p, st, v_next, v_next, PiterConfig())
-    res, _ = residual(grid, p, st, v, v_next)
+    v, pol, _ = iterate(SystemCache(grid, p, st), v_next, v_next, PiterConfig())
+    res, _ = residual(StepTables(grid, p, st), v, v_next)
     assert np.abs(res).max() <= 1e-9
 
 

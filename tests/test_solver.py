@@ -1,6 +1,9 @@
 """Backward orchestration: envelopes, baselines, and grid refinement."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 import mmqvi.linsolve
 import mmqvi.policy_iteration
 import mmqvi.scheme
+import mmqvi.solver
 from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
 from mmqvi import (
     ExplicitInstabilityError,
@@ -180,9 +184,10 @@ def test_reflection_symmetry_of_the_symmetric_model(fast_sol):
     assert np.abs(v0 - v0[::-1, ::-1]).max() <= 1e-8
 
 
-def test_envelope_violations_name_the_level(fast_params, fast_spec):
+def test_envelope_violations_name_the_level(fast_params, fast_spec, monkeypatch):
+    monkeypatch.setattr(mmqvi.solver, "ENVELOPE_TOL", -1.0)
     with pytest.raises(StabilityEnvelopeError) as exc_info:
-        solve_backward(fast_params, fast_spec, envelope_tol=-1.0)
+        solve_backward(fast_params, fast_spec)
     err = exc_info.value
     assert err.level == fast_spec.n_time_steps
     assert np.isfinite(err.value)
@@ -253,6 +258,21 @@ def test_traced_names_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, span, _ in tracing._patch_table():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
+
+
+@pytest.mark.parametrize("workload", ["ref-solve", "fine-solve", "mc-replay"])
+def test_benchmark_runs_against_the_package(workload):
+    # a tiny traced run of each workload calls what the benchmark calls of
+    # the package, so a changed name or signature fails here
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.3", "--trace", "1", "--scale", "tiny"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert {"correct", "attempted", "failed", "metrics"} <= set(result)
 
 
 def test_one_solve_builds_the_row_types_once_and_rescans_nothing(

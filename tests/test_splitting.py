@@ -21,6 +21,7 @@ from conftest import (  # noqa: E402
     residual_norm,
     residual_rounding,
     split_match_ratio,
+    splitting_of,
 )
 from mmqvi import (  # noqa: E402
     GridSpec,
@@ -86,7 +87,7 @@ def test_sweeps_rise_from_a_subsolution_to_the_lu_solution(case):
     # A x0 = b - c <= b with c >= 0: x0 is a subsolution
     c = np.random.default_rng(seed).uniform(0.0, 10.0, b.size)
     x0 = solve(a, b - c).solution
-    split = Splitting.of(a)
+    split = splitting_of(a)
     assert split.n_part.min() >= 0.0  # a regular splitting
 
     x = x0
@@ -158,7 +159,7 @@ def test_each_solve_sweeps_from_the_current_iterate(fast_params, fast_spec, monk
 
     monkeypatch.setattr(Splitting, "solve", recording_solve)
     v_next = terminal_vector(grid, fast_params)
-    _, _, trace = iterate(grid, fast_params, st, v_next, v_next)
+    _, _, trace = iterate(SystemCache(grid, fast_params, st), v_next, v_next)
     assert trace.iterations >= 2 and len(starts) == trace.iterations
     np.testing.assert_array_equal(starts[0], v_next)
     for start, previous in zip(starts[1:], solutions):
@@ -216,4 +217,4 @@ def test_a_missed_fallback_raises(toy_grid, toy_params, toy_stencils, monkeypatc
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: pol)
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(SolveError, match="injected"):
-        iterate(toy_grid, toy_params, toy_stencils, v_next - 1e3, v_next)
+        iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next - 1e3, v_next)
