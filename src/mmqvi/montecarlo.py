@@ -5,7 +5,8 @@ transitions between events (truncated to the solver band), external market
 orders arrive as Poisson streams and bump the signal, the midprice moves by
 one tick at jump times with intensities theta + alpha^+ / theta + alpha^-,
 and the maker's quotes and impulses replay the solved policy (nearest
-neighbor in alpha, exact in inventory, left-continuous in time).
+neighbor in alpha, exact in inventory, left-continuous in time), read off
+each level's ``Policy.code`` with the ``scheme`` bits.
 
 Price-jump arrivals between events are drawn by inverting the cumulative
 intensity along the deterministic signal decay from the last event; the
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams, inventory_units, reconstruct_full_value
+from .scheme import D, LA, LB, UP
 from .solver import Solution
 
 
@@ -97,6 +99,19 @@ def _next_jump(theta: float, c: float, k: float, budget: float, window: float):
     return w
 
 
+def _start_state(p: ModelParams, q_bar: int, y0) -> tuple[float, float, float, int]:
+    """(x, s, alpha, q) of the start state ``y0``, alpha clipped to the cap.
+    Raises ValueError on a non-finite x0, s0 or alpha0 or a fractional
+    inventory, and SimulationError on an inventory outside the cap."""
+    for name, value in zip(("x0", "s0", "alpha0"), y0):
+        if not math.isfinite(value):
+            raise ValueError(f"start state {name} must be finite, got {value}")
+    q = inventory_units(y0[3])
+    if abs(q) > q_bar:
+        raise SimulationError(f"initial inventory {q} outside the cap {q_bar}")
+    return float(y0[0]), float(y0[1]), min(max(float(y0[2]), -p.alpha_cap), p.alpha_cap), q
+
+
 def _simulate(
     p: ModelParams,
     sol: Solution,
@@ -113,16 +128,7 @@ def _simulate(
     ups = p.upsilon
     times = grid.times
     n_steps = len(sol.policies)
-
-    la_lv = [pol.la for pol in sol.policies]
-    lb_lv = [pol.lb for pol in sol.policies]
-    z_lv = [pol.z for pol in sol.policies]
-    d_lv = [pol.d for pol in sol.policies]
-
-    x, s, alpha, q = float(y0[0]), float(y0[1]), float(y0[2]), inventory_units(y0[3])
-    if abs(q) > q_bar:
-        raise SimulationError(f"initial inventory {q} outside the cap {q_bar}")
-    alpha = min(max(alpha, -a_cap), a_cap)
+    x, s, alpha, q = _start_state(p, q_bar, y0)
 
     rec = PathRecord(y0=(x, s, alpha, q))
     rec.trajectory.append((0.0, x, s, alpha, q))
@@ -146,13 +152,13 @@ def _simulate(
     def cascade(n: int, t: float) -> None:
         """Execute own market orders while the cell demands one (d = 1)."""
         nonlocal x, alpha, q
-        d_arr, z_arr = d_lv[n], z_lv[n]
+        codes = sol.policies[n].code
         for _ in range(2 * q_bar):
-            if not d_arr[node_of()]:
+            code = codes[node_of()]
+            if not code & D:
                 return
-            z = int(z_arr[node_of()])
             mark_q_change(t)
-            if z > 0:
+            if code & UP:
                 x -= s + ups
                 q += 1
                 alpha = min(alpha + p.gamma_a, a_cap)
@@ -165,7 +171,7 @@ def _simulate(
             if abs(q) > q_bar:
                 raise SimulationError(f"inventory {q} breached the cap at t={t}")
             rec.trajectory.append((t, x, s, alpha, q))
-        if d_arr[node_of()]:
+        if codes[node_of()] & D:
             rec.chatter_capped += 1
 
     def advance_alpha(w: float) -> None:
@@ -194,7 +200,7 @@ def _simulate(
         events.append((t1, 0))
 
         t_cur = t0
-        la_arr, lb_arr = la_lv[n], lb_lv[n]
+        step_codes = sol.policies[n].code
         for t_ev, kind in events:
             # price jumps strictly inside (t_cur, t_ev)
             while t_ev > t_cur:
@@ -222,7 +228,7 @@ def _simulate(
             if kind > 0:
                 # external buy: our resting ask fills first, then the bump
                 rec.ext_buy_times.append(t_ev)
-                if la_arr[node_of()]:
+                if step_codes[node_of()] & LA:
                     mark_q_change(t_ev)
                     x += s + p.delta
                     q -= 1
@@ -230,7 +236,7 @@ def _simulate(
                 alpha = min(alpha + p.gamma_a, a_cap)
             else:
                 rec.ext_sell_times.append(t_ev)
-                if lb_arr[node_of()]:
+                if step_codes[node_of()] & LB:
                     mark_q_change(t_ev)
                     x -= s - p.delta
                     q += 1
@@ -259,7 +265,8 @@ def simulate_path(
     seed,
 ) -> PathRecord:
     """Simulate one path replaying the solved policy; full event record.
-    Raises ValueError when the inventory y0[3] is not integral."""
+    Raises ValueError when x0, s0 or alpha0 is not finite or the inventory
+    y0[3] is not integral."""
     rng = np.random.default_rng(seed)
     return _simulate(p, sol, y0, rng)
 
@@ -295,23 +302,10 @@ class _ReplayCounts:
     chatter_capped: int = 0
 
 
-# bits of a packed control code: the quotes, the impulse selector, a buy impulse
-_LA, _LB, _D, _BUY = 1, 2, 4, 8
-
-
-def _control_codes(sol: Solution) -> np.ndarray:
-    """Every step's controls as one uint8 code per (step, node)."""
-    codes = np.zeros((len(sol.policies), sol.grid.n_nodes), dtype=np.uint8)
-    for bit, field in ((_LA, "la"), (_LB, "lb"), (_D, "d")):
-        codes[np.array([getattr(pol, field) for pol in sol.policies]) != 0] |= bit
-    codes[np.array([pol.z for pol in sol.policies]) > 0] |= _BUY
-    return codes
-
-
 def _replay(
     p: ModelParams,
     sol: Solution,
-    y0: tuple[float, float, float, int],
+    start: tuple[float, float, float, int],
     n_paths: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, _ReplayCounts]:
@@ -322,7 +316,8 @@ def _replay(
     each unfinished path from its own last event to its next one: the first
     arrival of its two price-jump clocks, else its next external order, else
     the end of its time step, where it moves on to the next step's policy.
-    Returns the realized objectives and the event counts.
+    ``start`` is the ``_start_state`` of the paths.  Returns the realized
+    objectives and the event counts.
     """
     grid = sol.grid
     n_alpha, q_bar = grid.n_alpha, int(grid.qs[-1])
@@ -331,14 +326,9 @@ def _replay(
     k, rho, theta = p.k, p.rho, p.theta
     step_end, t_end = grid.times[1:], float(grid.times[-1])
     n_steps = len(sol.policies)
-    codes = _control_codes(sol)
-
-    q0 = inventory_units(y0[3])
-    if abs(q0) > q_bar:
-        raise SimulationError(f"initial inventory {q0} outside the cap {q_bar}")
-    x = np.full(n_paths, float(y0[0]))
-    s = np.full(n_paths, float(y0[1]))
-    alpha = np.full(n_paths, min(max(float(y0[2]), -a_cap), a_cap))
+    x0, s0, alpha0, q0 = start
+    codes = np.stack([pol.code for pol in sol.policies])
+    x, s, alpha = np.full(n_paths, x0), np.full(n_paths, s0), np.full(n_paths, alpha0)
     q = np.full(n_paths, q0, dtype=np.int64)
     q2_int = np.zeros(n_paths)      # running integral of Q^2 dt
     t_mark = np.zeros(n_paths)      # time of the last inventory change
@@ -387,10 +377,10 @@ def _replay(
         under the policy of the path's step."""
         for _ in range(2 * q_bar):
             code = codes[step[idx], node_of(idx)]
-            act = (code & _D) != 0
+            act = (code & D) != 0
             if not act.any():
                 return
-            idx, t, buy = idx[act], t[act], (code[act] & _BUY) != 0
+            idx, t, buy = idx[act], t[act], (code[act] & UP) != 0
             mark_q_change(idx, t)
             si = s[idx]
             x[idx] += np.where(buy, -(si + ups), si - ups)
@@ -398,7 +388,7 @@ def _replay(
             bump(idx, buy)
             counts.own_orders += idx.size
             check_cap(idx, t)
-        counts.chatter_capped += int(np.count_nonzero(codes[step[idx], node_of(idx)] & _D))
+        counts.chatter_capped += int(np.count_nonzero(codes[step[idx], node_of(idx)] & D))
 
     def advance_alpha(a: np.ndarray, decay: np.ndarray) -> np.ndarray:
         """Exact OU transitions over windows with decay factors exp(-k*w)."""
@@ -447,7 +437,7 @@ def _replay(
         nxt[o] += 1
         # an external buy lifts our resting ask, a sell hits our bid, both
         # from the cell before the order's bump
-        fills = (codes[step[o], node_of(o)] & np.where(buy, _LA, _LB)) != 0
+        fills = (codes[step[o], node_of(o)] & np.where(buy, LA, LB)) != 0
         f, fb, t_f = o[fills], buy[fills], t_o[fills]
         mark_q_change(f, t_f)
         sf = s[f]
@@ -481,21 +471,18 @@ def estimate_performance(
     paths still running.  Path i's draws depend on the other paths, so the
     paths of an n-path run are not a prefix of a larger run, and they differ
     from ``simulate_path`` paths seeded with ``SeedSequence(seed).spawn(n)``
-    children; they follow the same law.  Raises ValueError when the
-    inventory y0[3] is not integral.
+    children; they follow the same law.  Raises ValueError when x0, s0 or
+    alpha0 is not finite or the inventory y0[3] is not integral.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    x0, s0, alpha0, q0 = start = _start_state(p, int(sol.grid.qs[-1]), y0)
     rng = np.random.default_rng(seed)
-    objectives, counts = _replay(p, sol, y0, n_paths, rng)
+    objectives, counts = _replay(p, sol, start, n_paths, rng)
 
     mean = float(objectives.mean())
     stderr = float(objectives.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    x0, s0, alpha0, q0 = y0
-    alpha0 = min(max(float(alpha0), -p.alpha_cap), p.alpha_cap)
-    predicted = reconstruct_full_value(
-        float(x0), float(s0), float(q0), sol.value_at(0, alpha0, q0)
-    )
+    predicted = reconstruct_full_value(x0, s0, float(q0), sol.value_at(0, alpha0, q0))
     if stderr > 0:
         zscore = (mean - predicted) / stderr
     else:

@@ -28,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import time
+from typing import ClassVar
 
 import numpy as np
 
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
 from .model import ModelParams
-from .scheme import Policy, SparseSystem
+from .scheme import D, UP, Policy, SparseSystem
 
 # Relative stopping metric falls back to absolute differences below this.
 RELATIVE_FLOOR = 1e-12
@@ -73,8 +74,10 @@ class PiterConfig:
 
     tol: float = 1e-8
     max_iter: int = 200
-    solver_tol: float = 1e-10
     verification: str = "per-step"
+    # every solve's residual contract, and the unit of the monotonicity and
+    # complementarity checks: fixed, so no setting can switch them off
+    solver_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self) -> None:
         if not (self.tol > 0 and np.isfinite(self.tol)):
@@ -135,10 +138,6 @@ class VerificationReport:
     hard_failures: list[str] = field(default_factory=list)
 
     @property
-    def path_ok(self) -> bool:
-        return self.failing_node is None
-
-    @property
     def ok(self) -> bool:
         return not self.hard_failures and not self.findings
 
@@ -177,7 +176,7 @@ class SystemCache:
         rows = scheme.policy_rows(grid, policy)
         if np.array_equal(rows, self.rows):
             return "reused"
-        _, failing_node, chains = _impulse_chains(grid, policy)
+        failing_node, chains = _impulse_chains(grid, policy)
         self.report = _report(self.facts, rows, self.mode, failing_node)
         self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
                                         linsolve.gather(self.n_types, rows, grid.n_nodes),
@@ -216,7 +215,7 @@ def verify_theorem_conditions(
     checks = _row_checks(*linsolve.split(system.matrix))
     facts = _row_facts(checks, system.impulse_mask, system.boundary_rows)
     return _report(facts, np.arange(checks.shape[1]), system.mode,
-                   _impulse_chains(grid, policy)[1])
+                   _impulse_chains(grid, policy)[0])
 
 
 def _row_checks(band, table) -> np.ndarray:
@@ -304,7 +303,7 @@ def _report(facts, rows: np.ndarray, mode: str, failing_node: int | None) -> Ver
 def _impulse_chains(grid: Grid, policy: Policy):
     """Follow the z-directed inventory moves from every d = 1 node.
 
-    Returns (path_ok, failing_node, chains).  The walk succeeds when every
+    Returns (failing_node, chains).  The walk succeeds when every
     chain lands on a d = 0 node within 2*q_bar moves; a chain that leaves
     the inventory band or cycles fails, ``failing_node`` is the smallest
     failing start and ``chains`` is None.  Otherwise ``chains`` = (starts,
@@ -319,8 +318,9 @@ def _impulse_chains(grid: Grid, policy: Policy):
     its length and nodes follow from its start and end.
     """
     m = grid.n_nodes
-    starts = np.flatnonzero(policy.d)
-    step = policy.z[starts] * np.int64(grid.n_alpha)
+    d = (policy.code & D) != 0
+    starts = np.flatnonzero(d)
+    step = np.where(policy.code[starts] & UP, grid.n_alpha, -grid.n_alpha)
     # nodes are q-major, so a move out of the inventory band leaves [0, m)
     ahead = np.arange(m + 1)  # node m is the sink
     target = starts + step
@@ -329,13 +329,13 @@ def _impulse_chains(grid: Grid, policy: Policy):
     for _ in range((grid.n_q - 2).bit_length()):
         ahead = ahead[ahead]
     ends = ahead[starts]
-    failed = np.flatnonzero(np.append(policy.d, 1)[ends])
+    failed = np.flatnonzero(np.append(d, True)[ends])
     if failed.size:
-        return False, int(starts[failed[0]]), None
+        return int(starts[failed[0]]), None
     length = (ends - starts) // step
     k = np.repeat(np.arange(starts.size), length)
     hop = np.arange(k.size) - np.repeat(np.cumsum(length) - length, length)
-    return True, None, (starts, ends, (k, starts[k] + hop * step[k]))
+    return None, (starts, ends, (k, starts[k] + hop * step[k]))
 
 
 def _stopping_metric(v_new: np.ndarray, v_old: np.ndarray) -> float:

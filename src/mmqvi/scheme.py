@@ -12,13 +12,15 @@ The linear system for a policy P is
 
     [(I - D) (I - dt*L(w)) + D (I - B(z))] v^n = (I - D)(v^{n+1} + dt*f) - D*upsilon
 
-with D the diagonal 0/1 impulse selector.  Each row of A(P) is fixed by its
-node and that node's choice, so ``row_types`` builds every candidate row
-once per grid and A(P) is the selection of one row per node.  ``residual``
-evaluates the node-wise max over all admissible choices of the unscaled step
-residual and doubles as the policy-improvement oracle.  Everything in it that
-does not depend on the iterate, and dt*f of each row type, is built once per
-problem in ``StepTables``: a new iterate costs one stacked shift product and
+with D the diagonal 0/1 impulse selector.  A policy is one byte per node,
+``Policy.code``, of the bits LA, LB, D and UP defined here and nowhere else.
+Each row of A(P) is fixed by its node and that node's code, so ``row_types``
+builds every candidate row once per grid and A(P) is the selection of one
+row per node, by the code's ``ROW_BLOCK``.  ``residual`` evaluates the
+node-wise max over all admissible choices of the unscaled step residual and
+doubles as the policy-improvement oracle.  Everything in it that does not
+depend on the iterate, and dt*f of each row type, is built once per problem
+in ``StepTables``: a new iterate costs one stacked shift product and
 elementwise maxima, and a new policy's right side is a gather by row type.
 """
 
@@ -34,60 +36,82 @@ from .grid import Grid, StencilSet
 from .model import ModelParams, running_reward
 
 
+# Bits of a policy code: ask quoted, bid quoted, impulse selected, and an
+# impulse up (z = +1; z = -1 without it)
+LA, LB, D, UP = 1, 2, 4, 8
+# ``row_types`` block of each code: 2*la + lb on continuation, 4 for an
+# impulse up and 5 for one down
+ROW_BLOCK = np.array([0, 2, 1, 3, 5, 5, 5, 5, 0, 2, 1, 3, 4, 4, 4, 4], dtype=np.int64)
+
+
+def _pack(la, lb, d, up) -> np.ndarray:
+    """The codes of boolean arrays of the four bits."""
+    code = np.asarray(la, dtype=bool).view(np.uint8) * LA
+    for bit, on in ((LB, lb), (D, d), (UP, up)):
+        code |= np.asarray(on, dtype=bool).view(np.uint8) * bit
+    return code
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = arr.astype(np.int8)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(eq=False)
 class Policy:
-    """Per-node controls: quote bits la/lb, impulse direction z, selector d.
+    """Per-node controls as one uint8 ``code`` per node, of the bits LA, LB,
+    D and UP: quote bits la/lb, impulse selector d and impulse direction z.
 
     ``z`` is stored for every node but only acts where ``d = 1``.  At the
     inventory caps, fills or impulses that would leave [-q_bar, q_bar] are
     inadmissible: la = 0 at q = -q_bar, lb = 0 at q = +q_bar, and d = 1 with
-    an outward z is forbidden.
+    an outward z is forbidden.  ``Policy.of`` packs the four fields; they
+    read back as read-only int8 arrays.
     """
 
-    la: np.ndarray
-    lb: np.ndarray
-    z: np.ndarray
-    d: np.ndarray
+    code: np.ndarray
+
+    la = property(lambda self: _frozen((self.code & LA) != 0))
+    lb = property(lambda self: _frozen((self.code & LB) != 0))
+    d = property(lambda self: _frozen((self.code & D) != 0))
+    z = property(lambda self: _frozen(np.where(self.code & UP, 1, -1)))
+
+    @classmethod
+    def of(cls, la, lb, z, d) -> "Policy":
+        """Pack 0/1 arrays la, lb, d and a -1/+1 array z of la's shape;
+        raises ValueError on any other shape or value."""
+        for name, arr in {"la": la, "lb": lb, "z": z, "d": d}.items():
+            allowed, label = ((-1, 1), "-1/+1") if name == "z" else ((0, 1), "0/1")
+            if np.shape(arr) != np.shape(la):
+                raise ValueError(f"policy field {name} has shape {np.shape(arr)}, "
+                                 f"expected {np.shape(la)}")
+            if not np.isin(arr, allowed).all():
+                raise ValueError(f"policy field {name} must be {label} valued")
+        return cls(_pack(la, lb, d, np.equal(z, 1)))
 
     def validate(self, grid: Grid) -> None:
         m = grid.n_nodes
-        for name in ("la", "lb", "z", "d"):
-            arr = getattr(self, name)
-            if arr.shape != (m,):
-                raise ValueError(f"policy field {name} has shape {arr.shape}, expected ({m},)")
-        for name in ("la", "lb", "d"):
-            arr = getattr(self, name)
-            if not np.isin(arr, (0, 1)).all():
-                raise ValueError(f"policy field {name} must be 0/1 valued")
-        if not np.isin(self.z, (-1, 1)).all():
-            raise ValueError("policy field z must be -1/+1 valued")
+        if self.code.shape != (m,) or self.code.dtype != np.uint8 or (self.code > 15).any():
+            raise ValueError(f"policy code must be ({m},) uint8 values below 16, got "
+                             f"{self.code.dtype} {self.code.shape}")
         jj = np.arange(m) // grid.n_alpha
-        bottom = jj == 0
-        top = jj == grid.n_q - 1
-        bad = np.flatnonzero(bottom & (self.la == 1))
-        if bad.size:
-            raise ValueError(f"la = 1 at q = -q_bar (node {bad[0]}) would breach the cap")
-        bad = np.flatnonzero(top & (self.lb == 1))
-        if bad.size:
-            raise ValueError(f"lb = 1 at q = +q_bar (node {bad[0]}) would breach the cap")
-        bad = np.flatnonzero(top & (self.d == 1) & (self.z == 1))
-        if bad.size:
-            raise ValueError(f"impulse z = +1 at q = +q_bar (node {bad[0]}) would breach the cap")
-        bad = np.flatnonzero(bottom & (self.d == 1) & (self.z == -1))
-        if bad.size:
-            raise ValueError(f"impulse z = -1 at q = -q_bar (node {bad[0]}) would breach the cap")
+        bottom, top = jj == 0, jj == grid.n_q - 1
+        la, lb, d, up = ((self.code & bit) != 0 for bit in (LA, LB, D, UP))
+        for bad, what in ((bottom & la, "la = 1 at q = -q_bar"),
+                          (top & lb, "lb = 1 at q = +q_bar"),
+                          (top & d & up, "impulse z = +1 at q = +q_bar"),
+                          (bottom & d & ~up, "impulse z = -1 at q = -q_bar")):
+            if bad.any():
+                raise ValueError(f"{what} (node {np.argmax(bad)}) would breach the cap")
 
     def digest(self) -> str:
-        h = hashlib.sha1()
-        for arr in (self.la, self.lb, self.z, self.d):
-            h.update(np.ascontiguousarray(arr, dtype=np.int8).tobytes())
-        return h.hexdigest()[:16]
+        return hashlib.sha1(np.ascontiguousarray(self.code).tobytes()).hexdigest()[:16]
 
     def switched_nodes(self, other: "Policy") -> int:
         """Number of nodes whose (la, lb, d, z) differ from ``other``'s;
         0 when the two policies are equal."""
-        changed = (self.la != other.la) | (self.lb != other.lb) | (self.d != other.d)
-        return int(np.count_nonzero(changed | (self.z != other.z)))
+        return int(np.count_nonzero(self.code != other.code))
 
 
 def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
@@ -96,18 +120,10 @@ def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
     Quote bits pointing out of the inventory band are zeroed and impulses
     with an outward direction at a cap are demoted to continuation.
     """
-    la = np.asarray(la, dtype=np.int8).copy()
-    lb = np.asarray(lb, dtype=np.int8).copy()
-    z = np.asarray(z, dtype=np.int8).copy()
-    d = np.asarray(d, dtype=np.int8).copy()
     jj = np.arange(grid.n_nodes) // grid.n_alpha
-    la[jj == 0] = 0
-    lb[jj == grid.n_q - 1] = 0
-    d[(jj == grid.n_q - 1) & (z == 1)] = 0
-    d[(jj == 0) & (z == -1)] = 0
-    policy = Policy(la=la, lb=lb, z=z, d=d)
-    policy.validate(grid)
-    return policy
+    bottom, top = jj == 0, jj == grid.n_q - 1
+    outward = (top & np.equal(z, 1)) | (bottom & np.equal(z, -1))
+    return Policy.of(np.where(bottom, 0, la), np.where(top, 0, lb), z, np.where(outward, 0, d))
 
 
 @dataclass(eq=False)
@@ -181,10 +197,11 @@ class StepTables:
 def _branches(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     """Node-wise branch values and argmax bits, all shaped (n_q, n_alpha).
 
-    Returns (cont, la, lb, imp, z) where ``cont`` is the best continuation
+    Returns (cont, la, lb, imp, up) where ``cont`` is the best continuation
     residual (v_next - v)/dt + L v + f over the admissible quote bits and
-    ``imp`` the best admissible impulse value B v - upsilon.  Ties prefer
-    quote bit 0 and impulse direction +1.  ``tables`` are the problem's
+    ``imp`` the best admissible impulse value B v - upsilon, ``up`` its
+    direction (True for z = +1).  Ties prefer quote bit 0 and impulse
+    direction +1.  ``tables`` are the problem's
     ``StepTables``.  An ask fill (la = 1) needs q > -q_bar and a bid fill
     q < q_bar; an impulse up needs q < q_bar and one down q > -q_bar.
     """
@@ -223,12 +240,12 @@ def _branches(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     rise = v2d[1:] - v2d[:-1]
     imp_up = rise - p.upsilon
     imp_dn = -rise - p.upsilon
-    z = np.ones((n_q, n_alpha), dtype=np.int8)
+    up = np.ones((n_q, n_alpha), dtype=bool)
     imp = np.empty_like(v2d)
-    imp[0], imp[-1], z[-1] = imp_up[0], imp_dn[-1], -1
+    imp[0], imp[-1], up[-1] = imp_up[0], imp_dn[-1], False
     np.maximum(imp_up[1:], imp_dn[:-1], out=imp[1:-1])
-    z[1:-1][imp_up[1:] < imp_dn[:-1]] = -1
-    return cont, la, lb, imp, z
+    up[1:-1][imp_up[1:] < imp_dn[:-1]] = False
+    return cont, la, lb, imp, up
 
 
 def residual(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
@@ -238,18 +255,11 @@ def residual(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     (v_next - v)/dt + L v + f and the admissible impulse values B v - upsilon.
     At the solution of the step this max is zero node-wise.  Ties break
     toward continuation, unquoted sides, and impulse direction +1.
-    ``tables`` are the problem's ``StepTables``.
+    ``tables`` are the problem's ``StepTables``.  The policy is admissible by
+    construction, so its bits are packed unchecked.
     """
-    cont, la, lb, imp, z = _branches(tables, v, v_next)
-    d = imp > cont
-    res = np.maximum(cont, imp)
-    policy = Policy(
-        la=la.ravel().astype(np.int8),
-        lb=lb.ravel().astype(np.int8),
-        z=z.ravel(),
-        d=d.ravel().astype(np.int8),
-    )
-    return res.ravel(), policy
+    cont, la, lb, imp, up = _branches(tables, v, v_next)
+    return np.maximum(cont, imp).ravel(), Policy(_pack(la, lb, imp > cont, up).ravel())
 
 
 def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
@@ -288,10 +298,7 @@ def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
 
 def policy_rows(grid: Grid, policy: Policy) -> np.ndarray:
     """Index into ``row_types`` of the row that ``policy`` chooses at each node."""
-    block = 2 * policy.la + policy.lb
-    impulse = policy.d == 1
-    block[impulse] = 4 + (policy.z[impulse] == -1)
-    rows = block.astype(np.int64)
+    rows = ROW_BLOCK[policy.code]
     rows *= grid.n_nodes
     return rows + np.arange(grid.n_nodes)
 
@@ -311,6 +318,6 @@ def assemble_system(
     """
     policy.validate(grid)
     rows = policy_rows(grid, policy)
-    impulse = policy.d.astype(bool)
+    impulse = (policy.code & D) != 0
     return SparseSystem(row_types(grid, p, st)[rows], StepTables(grid, p, st).rhs(rows, v_next),
                         impulse, np.tile(st.boundary, grid.n_q) & ~impulse, st.mode)

@@ -3,7 +3,8 @@
 Only tests use these.  They restate, one node and one stencil at a time,
 what ``mmqvi.grid`` and ``mmqvi.scheme`` compute for whole grids at once:
 the shift stencils behind ``StencilSet.up``/``down``, the rows behind
-``scheme.row_types``, the node residual behind ``scheme.residual``, and the
+``scheme.row_types``, the row each node's controls select behind
+``scheme.policy_rows``, the node residual behind ``scheme.residual``, and the
 impulse chains behind ``policy_iteration._impulse_chains``.  ``assemble_rhs``
 builds b(P) from a policy's controls, as ``scheme.StepTables.rhs`` gathers it
 by row type.
@@ -231,6 +232,12 @@ def impulse_row(grid: Grid, p: ModelParams, ii: int, jj: int, z: int):
     return cols, vals, -p.upsilon
 
 
+def policy_row(grid: Grid, la: int, lb: int, z: int, d: int, node: int) -> int:
+    """Index into ``row_types`` of the row that the controls (la, lb, z, d)
+    select at ``node``: block 2*la + lb on continuation, 4 + (z = -1) on an
+    impulse."""
+    block = 4 + (z == -1) if d else 2 * la + lb
+    return block * grid.n_nodes + node
 
 
 def walk_impulse_chain(grid: Grid, d, z, start: int):

@@ -159,16 +159,16 @@ def test_criterion_04_theorem_condition_verifier(
                 if kind != 0:
                     d[node] = 1
                     z[node] = kind
-        pol = Policy(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=z, d=d)
+        pol = Policy.of(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=z, d=d)
         pol.validate(grid)
-        good, _, _ = _impulse_chains(grid, pol)
+        good = _impulse_chains(grid, pol)[0] is None
         paths_ok = paths_ok and good
     cyc_d = np.zeros(m, dtype=np.int8)
     cyc_z = np.ones(m, dtype=np.int8)
     cyc_d[1] = cyc_d[1 + grid.n_alpha] = 1
     cyc_z[1 + grid.n_alpha] = -1
-    cyc = Policy(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=cyc_z, d=cyc_d)
-    cycle_caught = not _impulse_chains(grid, cyc)[0]
+    cyc = Policy.of(la=np.zeros(m, np.int8), lb=np.zeros(m, np.int8), z=cyc_z, d=cyc_d)
+    cycle_caught = _impulse_chains(grid, cyc)[0] is not None
     cyc_row = np.zeros((m, m))
     for node in range(m):
         ii, jj = unflatten(grid, node)
@@ -195,7 +195,7 @@ def test_criterion_04_theorem_condition_verifier(
             kind = kind_of[idx, node]
             if kind != 0:
                 d[node], z[node] = 1, kind
-        pol = Policy(la=la, lb=lb, z=z, d=d)
+        pol = Policy.of(la=la, lb=lb, z=z, d=d)
         pol.validate(grid)
         system = assemble_system(grid, toy_params, toy_stencils, pol, v_next)
         sample_ok = sample_ok and verify_theorem_conditions(grid, pol, system).ok

@@ -167,7 +167,7 @@ def test_solved_policy_beats_doing_nothing(params6, sol6):
     y0 = (0.0, 100.0, 0.0, 0)
     active = estimate_performance(params6, sol6, y0, 500, seed=7)
     zeros = np.zeros(sol6.grid.n_nodes, dtype=np.int8)
-    null = Policy(zeros, zeros, zeros, zeros)
+    null = Policy.of(zeros, zeros, np.ones_like(zeros), zeros)
     idle_sol = dataclasses.replace(sol6, policies=[null] * len(sol6.policies))
     idle = estimate_performance(params6, idle_sol, y0, 500, seed=7)
     # From flat inventory the null policy never trades: every path realizes
@@ -185,6 +185,12 @@ def test_bad_inputs_are_rejected(fast_params, fast_sol):
         simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), seed=0)
     with pytest.raises(ValueError, match="n_paths"):
         estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 0, seed=0)
+    for field, y0 in (("x0", (np.nan, 100.0, 0.0, 0)), ("s0", (0.0, np.inf, 0.0, 0)),
+                      ("alpha0", (0.0, 100.0, np.nan, 0))):
+        with pytest.raises(ValueError, match=f"start state {field} must be finite"):
+            estimate_performance(fast_params, fast_sol, y0, 10, seed=0)
+        with pytest.raises(ValueError, match=f"start state {field} must be finite"):
+            simulate_path(fast_params, fast_sol, y0, seed=0)
 
 
 def test_replay_counts_in_the_frozen_model(frozen_sol):
@@ -212,7 +218,8 @@ def test_a_step_end_moves_the_path_to_the_next_policy(frozen_sol):
     g, s_first = sol.grid, 4
     zeros = np.zeros(g.n_nodes, dtype=np.int8)
     sell = (g.q_of_node == 1).astype(np.int8)
-    idle, seller = Policy(zeros, zeros, zeros, zeros), Policy(zeros, zeros, -sell, sell)
+    idle = Policy.of(zeros, zeros, np.ones_like(zeros), zeros)
+    seller = Policy.of(zeros, zeros, 1 - 2 * sell, sell)
     policies = [idle] * s_first + [seller] * (len(sol.policies) - s_first)
     staged = dataclasses.replace(sol, policies=policies)
     y0 = (2.0, 100.0, 0.0, 1)

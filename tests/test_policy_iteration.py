@@ -57,6 +57,10 @@ def test_piter_config_validation():
         PiterConfig(max_iter=0)
     with pytest.raises(ValueError, match="verification"):
         PiterConfig(verification="always")
+    # solver_tol is a constant: a nan contract would switch off the residual
+    # and monotonicity checks
+    with pytest.raises(TypeError, match="solver_tol"):
+        PiterConfig(solver_tol=float("nan"))
 
 
 def test_stopping_metric_is_relative_with_absolute_floor():
@@ -129,7 +133,7 @@ def test_iterate_rejects_unsound_policies(
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(VerificationError) as exc_info:
         iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
-    assert not exc_info.value.report.path_ok
+    assert exc_info.value.report.failing_node is not None
 
 
 def toy_policy(grid, edits=()):
@@ -249,7 +253,7 @@ def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypat
         with pytest.raises(VerificationError) as exc_info:
             iterate(cache, v_next - 1e3, v_next)
         reports.append(exc_info.value.report)
-    assert not reports[0].path_ok
+    assert reports[0].failing_node is not None
     # the repeat reuses the failing entry and checks its report again
     assert reports[1] is reports[0] is cache.report
     np.testing.assert_array_equal(cache.rows, policy_rows(toy_grid, second))
@@ -311,14 +315,14 @@ def test_verifier_names_the_failing_node(grid6, params6, stencils6):
 
 def test_impulse_cycle_is_detected(toy_grid, toy_params, toy_stencils):
     pol = cycle_policy(toy_grid)
-    ok, failing, chains = _impulse_chains(toy_grid, pol)
-    assert not ok and chains is None
+    failing, chains = _impulse_chains(toy_grid, pol)
+    assert chains is None
     assert failing in (flatten(toy_grid, 1, 1), flatten(toy_grid, 1, 2))
     v_next = terminal_vector(toy_grid, toy_params)
     system = assemble_system(toy_grid, toy_params, toy_stencils, pol, v_next)
     report = verify_theorem_conditions(toy_grid, pol, system)
     assert not report.sound
-    assert not report.path_ok
+    assert report.failing_node is not None
     assert any("impulse chain" in msg for msg in report.hard_failures)
 
 
@@ -331,8 +335,8 @@ def test_impulse_everywhere_passes_after_cap_demotion(
     pol = apply_caps(
         toy_grid, np.zeros(m), np.zeros(m), np.ones(m), np.ones(m)
     )
-    ok, failing, (starts, ends, (k, row)) = _impulse_chains(toy_grid, pol)
-    assert ok and failing is None
+    failing, (starts, ends, (k, row)) = _impulse_chains(toy_grid, pol)
+    assert failing is None
     # each chain climbs to the top level at its own alpha, passing every
     # impulse node from its start up
     n_alpha = toy_grid.n_alpha

@@ -39,6 +39,7 @@ from oracles import (  # noqa: E402
     continuation_row,
     flatten,
     impulse_row,
+    policy_row,
     shift_stencil_down,
     shift_stencil_up,
     walk_impulse_chain,
@@ -359,10 +360,50 @@ def problem_policies(draw, capped=True):
         policy = random_policy(grid, rng, impulse_share=share)
     else:
         m = grid.n_nodes
-        policy = Policy(*rng.integers(0, 2, (2, m)).astype(np.int8),
-                        z=np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8),
-                        d=(rng.random(m) < share).astype(np.int8))
+        policy = Policy.of(*rng.integers(0, 2, (2, m)).astype(np.int8),
+                           z=np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8),
+                           d=(rng.random(m) < share).astype(np.int8))
     return grid, p, st, policy, rng.normal(size=grid.n_nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.booleans().flatmap(lambda capped: problem_policies(capped=capped)),
+       hst.integers(0, 2**32 - 1))
+def test_a_policy_code_holds_the_four_fields(case, seed):
+    """One byte per node reads back as the (la, lb, z, d) it packs, selects
+    the rows and counts the switches of the four-field rules, and packs only
+    0/1 quote and impulse bits, -1/+1 directions and fields of one shape."""
+    grid, _, _, pol, _ = case
+    m = grid.n_nodes
+    rng = np.random.default_rng(seed)
+    raw = (*rng.integers(0, 2, (2, m)), np.where(rng.random(m) < 0.5, 1, -1),
+           rng.integers(0, 2, m))
+    other = Policy.of(*raw)
+    assert other.code.dtype == np.uint8 and other.code.nbytes == m
+    for got, want in zip((other.la, other.lb, other.z, other.d), raw):
+        assert got.dtype == np.int8 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    for q in (pol, other):
+        rows = [policy_row(grid, *map(int, controls), node)
+                for node, controls in enumerate(zip(q.la, q.lb, q.z, q.d))]
+        np.testing.assert_array_equal(scheme.policy_rows(grid, q), rows)
+    changed = np.zeros(m, dtype=bool)
+    for a, b in zip((pol.la, pol.lb, pol.z, pol.d), raw):
+        changed |= a != b
+    assert pol.switched_nodes(other) == np.count_nonzero(changed)
+    for i, name in enumerate(("la", "lb", "z", "d")):
+        label = "-1/+1" if name == "z" else "0/1"
+        bad = list(raw)
+        bad[i] = raw[i] + 2
+        with pytest.raises(ValueError,
+                           match=re.escape(f"policy field {name} must be {label} valued")):
+            Policy.of(*bad)
+        # la fixes the shape, so a shorter la blames lb
+        bad[i] = raw[i][:-1]
+        blamed, got, want = ("lb", m, m - 1) if i == 0 else (name, m - 1, m)
+        with pytest.raises(ValueError, match=re.escape(
+                f"policy field {blamed} has shape ({got},), expected ({want},)")):
+            Policy.of(*bad)
 
 
 @settings(max_examples=80, deadline=None)
@@ -386,12 +427,12 @@ def test_gathered_rhs_n_and_report_equal_the_assembled_system(case):
 @given(problem_policies(capped=False))
 def test_doubled_chains_end_where_a_plain_walk_ends(case):
     grid, _, _, pol, _ = case
-    ok, failing, chains = _impulse_chains(grid, pol)
+    failing, chains = _impulse_chains(grid, pol)
     starts = np.flatnonzero(pol.d)
     walks = [walk_impulse_chain(grid, pol.d, pol.z, int(s)) for s in starts]
     failed = [int(s) for s, (_, end) in zip(starts, walks) if end is None]
     event("a chain fails" if failed else "every chain ends")
-    assert ok == (not failed)
+    assert (failing is None) == (not failed)
     if failed:
         # the smallest failing start is named
         assert failing == failed[0] and chains is None

@@ -56,13 +56,17 @@ def test_policy_validate_rejects_bad_shapes_and_values(toy_grid):
     m = toy_grid.n_nodes
     good = null_policy(toy_grid)
     with pytest.raises(ValueError, match="shape"):
-        Policy(la=good.la[:-1], lb=good.lb, z=good.z, d=good.d).validate(toy_grid)
+        Policy.of(la=good.la[:-1], lb=good.lb, z=good.z, d=good.d).validate(toy_grid)
     with pytest.raises(ValueError, match="la"):
-        Policy(la=good.la + 2, lb=good.lb, z=good.z, d=good.d).validate(toy_grid)
+        Policy.of(la=good.la + 2, lb=good.lb, z=good.z, d=good.d).validate(toy_grid)
     with pytest.raises(ValueError, match="z"):
-        Policy(la=good.la, lb=good.lb, z=np.zeros(m, dtype=np.int8), d=good.d).validate(
+        Policy.of(la=good.la, lb=good.lb, z=np.zeros(m, dtype=np.int8), d=good.d).validate(
             toy_grid
         )
+    # a code built directly is checked for its length, type and bits
+    for code in (good.code[:-1], good.code.astype(np.int64), good.code | 16):
+        with pytest.raises(ValueError, match="policy code must be"):
+            Policy(code).validate(toy_grid)
 
 
 def test_policy_validate_rejects_cap_breaches(toy_grid):
@@ -70,11 +74,11 @@ def test_policy_validate_rejects_cap_breaches(toy_grid):
     ones = np.ones(m, dtype=np.int8)
     zeros = np.zeros(m, dtype=np.int8)
     with pytest.raises(ValueError, match="la = 1 at q = -q_bar"):
-        Policy(la=ones, lb=zeros, z=ones.copy(), d=zeros).validate(toy_grid)
+        Policy.of(la=ones, lb=zeros, z=ones.copy(), d=zeros).validate(toy_grid)
     with pytest.raises(ValueError, match="lb = 1 at q = \\+q_bar"):
-        Policy(la=zeros, lb=ones, z=ones.copy(), d=zeros).validate(toy_grid)
+        Policy.of(la=zeros, lb=ones, z=ones.copy(), d=zeros).validate(toy_grid)
     with pytest.raises(ValueError, match="breach"):
-        Policy(la=zeros, lb=zeros, z=ones.copy(), d=ones).validate(toy_grid)
+        Policy.of(la=zeros, lb=zeros, z=ones.copy(), d=ones).validate(toy_grid)
 
 
 def test_apply_caps_forces_constraints(toy_grid):

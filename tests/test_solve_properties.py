@@ -1,6 +1,7 @@
 """Whole backward solves on random small clamp-mode problems: the stability
 envelope, monotone policy iteration, complementarity at exhaustive
-verification, and reflection symmetry of symmetric models."""
+verification, reflection symmetry of symmetric models, and one admissible
+byte per node for every level's policy."""
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ def test_random_solves_keep_the_solver_invariants(case):
         lo, hi = stability_bounds(p, surface.t)
         assert lo - 1e-8 <= surface.values.min() and surface.values.max() <= hi + 1e-8
     assert min(e["min_increment"] for e in levels) >= -10.0 * cfg.solver_tol
+    # every level's policy is one admissible byte per node
+    for pol in sol.policies:
+        assert pol.code.dtype == np.uint8 and pol.code.nbytes == sol.grid.n_nodes
+        pol.validate(sol.grid)
 
     if symmetric:
         g = sol.grid

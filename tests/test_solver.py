@@ -122,7 +122,7 @@ def test_verification_failures_name_the_level(toy_params, monkeypatch):
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: cycle)
     with pytest.raises(VerificationError, match=r"^time level 2: no impulse chain") as exc_info:
         solve_backward(toy_params, spec)
-    assert not exc_info.value.report.path_ok
+    assert exc_info.value.report.failing_node is not None
 
 
 def test_paper_mode_reference_solve_fails_on_a_named_decrease(params6, spec6):
@@ -134,13 +134,14 @@ def test_paper_mode_reference_solve_fails_on_a_named_decrease(params6, spec6):
         solve_backward(params6, spec6, mode="paper")
 
 
-def test_solve_failures_name_the_level_and_row(toy_params):
+def test_solve_failures_name_the_level_and_row(toy_params, monkeypatch):
     # no solve meets a contract this tight: the sweeps run out and the LU
     # fallback misses, naming the row of its largest residual
     spec = GridSpec(3, 3, toy_params.alpha_cap, toy_params.q_bar)
     pattern = r"^time level \d: direct solve missed .* at row \d+$"
+    monkeypatch.setattr(PiterConfig, "solver_tol", 1e-300)
     with pytest.raises(SolveError, match=pattern) as exc_info:
-        solve_backward(toy_params, spec, piter=PiterConfig(solver_tol=1e-300))
+        solve_backward(toy_params, spec)
     err = exc_info.value
     assert type(err) is SolveError
     assert err.best_iterate is not None and err.residual_norm > 0.0
