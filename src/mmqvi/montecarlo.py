@@ -24,7 +24,8 @@ full event log; it is the reference.  ``estimate_performance`` advances all
 paths in lockstep with array operations: each pass moves every unfinished
 path to its own next event (price jump, external order or end of its time
 step) and handles it, and only the paths whose Exp(1) budget falls within the
-window's cumulative intensity take the Newton inversion.
+window's cumulative intensity invert it, in closed form through the Wright
+omega function.
 """
 
 from __future__ import annotations
@@ -276,22 +277,23 @@ def _first_arrivals(
 ) -> np.ndarray:
     """Vectorized ``_next_jump`` for clocks known to fire within ``window``.
 
-    Solves theta*w + c*(1 - exp(-k*w)) = budget by Newton's method to the
-    same residual tolerance.  The start is the root with one term dropped:
-    -log(1 - budget/c)/k, above the root, where the signal term can pay the
-    budget alone, else (budget - c)/theta, below it.
+    Solves theta*w + c*(1 - exp(-k*w)) = budget in closed form: omega =
+    exp(-k*w)*k*c/theta solves omega + log(omega) = x with x =
+    log(k*c/theta) + k*(c - budget)/theta, so omega is the Wright omega
+    function of x (Corless & Jeffrey 2002), and w = (budget - c)/theta +
+    omega/k = log(k*c/(theta*omega))/k.  The first form, which damps the
+    rounding of x by omega, serves omega < 1; at omega >= 1 its terms cancel
+    and the second serves.  c = 0 gives omega = 0 and exactly budget/theta.
     """
-    w = (budget - c) / theta if theta > 0 else window.copy()
-    alone = budget < c
-    w[alone] = -np.log1p(-budget[alone] / c[alone]) / k
-    w = np.minimum(np.maximum(w, 0.0), window)
-    for _ in range(60):
-        ekw = np.exp(-k * w)
-        f = theta * w + c * (1.0 - ekw) - budget
-        if (np.abs(f) < 1e-14 * (1.0 + budget)).all():
-            break
-        w = np.maximum(w - f / (theta + c * k * ekw), 0.0)
-    return w
+    # loading scipy.special costs a process about 45 ms and 2.5 MB, which
+    # ``import mmqvi`` and the solvers should not pay, so it loads here
+    from scipy.special import wrightomega
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # c = 0; form not taken
+        omega = wrightomega(np.log(k * c / theta) + k * (c - budget) / theta)
+        w = np.where(omega < 1.0, (budget - c) / theta + omega / k,
+                     np.log(k * c / (theta * omega)) / k)
+    return np.minimum(np.maximum(w, 0.0), window)
 
 
 @dataclass
@@ -412,19 +414,15 @@ def _replay(
         hit_with = budget[0] <= theta * window + c * (1.0 - np.exp(-k * window))
         hit_against = budget[1] <= theta * window
         jump = hit_with | hit_against
-        w = window
-        if jump.any():
-            j = np.flatnonzero(jump)
-            hw, ha = hit_with[j], hit_against[j]
-            w_with = np.full(j.size, np.inf)
-            w_with[hw] = _first_arrivals(theta, c[j][hw], k, budget[0, j][hw], window[j][hw])
-            w_against = np.full(j.size, np.inf)
-            w_against[ha] = budget[1, j][ha] / theta
-            w = window.copy()
-            w[j] = np.minimum(w_with, w_against)
-            tick = np.where(a[j] >= 0.0, p.sigma, -p.sigma)
-            s[live[j]] += np.where(w_with <= w_against, tick, -tick)
-            counts.jumps += j.size
+        w_with = np.full(live.size, np.inf)
+        w_with[hit_with] = _first_arrivals(
+            theta, c[hit_with], k, budget[0, hit_with], window[hit_with]
+        )
+        w_against = np.where(hit_against, budget[1] / theta, np.inf)
+        w = np.where(jump, np.minimum(w_with, w_against), window)
+        up = (a >= 0.0) == (w_with <= w_against)
+        s[live[jump]] += np.where(up[jump], p.sigma, -p.sigma)
+        counts.jumps += int(np.count_nonzero(jump))
         alpha[live] = advance_alpha(a, np.exp(-k * w))
         t_cur[live] = np.where(jump, t_from + w, t_to)
 
@@ -472,10 +470,11 @@ def estimate_performance(
     paths of an n-path run are not a prefix of a larger run, and they differ
     from ``simulate_path`` paths seeded with ``SeedSequence(seed).spawn(n)``
     children; they follow the same law.  Raises ValueError when x0, s0 or
-    alpha0 is not finite or the inventory y0[3] is not integral.
+    alpha0 is not finite or the inventory y0[3] is not integral, and when
+    ``n_paths`` is not an integer >= 1.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     x0, s0, alpha0, q0 = start = _start_state(p, int(sol.grid.qs[-1]), y0)
     rng = np.random.default_rng(seed)
     objectives, counts = _replay(p, sol, start, n_paths, rng)

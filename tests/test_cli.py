@@ -1,11 +1,12 @@
 """Command-line driver: config parsing, CSV outputs, and run modes.
 
 Run modes execute in-process through ``main(argv)`` on a deliberately tiny
-grid so the whole file stays fast.  Two subprocess tests run the CLI end to
-end in a fresh interpreter: one runs the ``[project.scripts]`` target that
+grid so the whole file stays fast.  Three subprocess tests run the CLI end
+to end in a fresh interpreter: one runs the ``[project.scripts]`` target that
 ``pyproject.toml`` declares for ``mmqvi`` the way a console-script wrapper
-does, so it needs no installed package; the other runs the generated
-``mmqvi`` executable and is skipped when none is on ``PATH``.
+does, so it needs no installed package; one runs ``python -m mmqvi.cli``, the
+route the README gives for a checkout; the last runs the generated ``mmqvi``
+executable and is skipped when none is on ``PATH``.
 """
 
 import logging
@@ -372,6 +373,10 @@ def test_installed_entry_point_runs(tiny_config, tmp_path):
     module, func = _declared_entry_point()
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     _run_cli([sys.executable, "-c", wrapper], tiny_config, tmp_path)
+
+
+def test_module_route_runs(tiny_config, tmp_path):
+    _run_cli([sys.executable, "-m", "mmqvi.cli"], tiny_config, tmp_path)
 
 
 @pytest.mark.skipif(

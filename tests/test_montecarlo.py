@@ -7,12 +7,17 @@ form.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import mmqvi
 from mmqvi import (
     GridSpec,
     Policy,
@@ -24,6 +29,10 @@ from mmqvi import (
 from mmqvi.montecarlo import _first_arrivals, _next_jump
 
 from conftest import quiet_params
+
+# a replay from alpha0 = 0 inverts c = 0 clocks on its first pass, where the
+# closed form takes log(0): it must do so silently, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +192,9 @@ def test_solved_policy_beats_doing_nothing(params6, sol6):
 def test_bad_inputs_are_rejected(fast_params, fast_sol):
     with pytest.raises(SimulationError, match="inventory"):
         simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), seed=0)
-    with pytest.raises(ValueError, match="n_paths"):
-        estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), 0, seed=0)
+    for n_paths in (0, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 1"):
+            estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), n_paths, seed=0)
     for field, y0 in (("x0", (np.nan, 100.0, 0.0, 0)), ("s0", (0.0, np.inf, 0.0, 0)),
                       ("alpha0", (0.0, 100.0, np.nan, 0))):
         with pytest.raises(ValueError, match=f"start state {field} must be finite"):
@@ -271,6 +281,38 @@ def test_vectorized_jump_times_match_the_scalar_inversion(theta):
     roots = _first_arrivals(theta, c, k, budget, window)
     expected = [_next_jump(theta, *args) for args in zip(c, [k] * 500, budget, window)]
     np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+
+def test_closed_form_arrivals_solve_the_clock_across_the_parameter_range():
+    """Each w solves theta*w + c*(1 - exp(-k*w)) = budget to rounding.
+
+    Checked against the equation, not against ``_next_jump``: where the
+    intensity is flat, Newton's stop rule leaves w looser than the closed form.
+    """
+    rng = np.random.default_rng(2)
+    for _ in range(400):
+        theta, k = 10.0 ** rng.uniform(-12.0, 2.0), 10.0 ** rng.uniform(-2.0, 4.0)
+        c = np.where(np.arange(100) < 10, 0.0, 10.0 ** rng.uniform(-6.0, 1.0, 100))
+        window = 10.0 ** rng.uniform(-4.0, 1.0, 100)
+        budget = rng.uniform(0.0, 1.0, 100) * (theta * window - c * np.expm1(-k * window))
+        w = _first_arrivals(theta, c, k, budget, window)
+        residual = theta * w - c * np.expm1(-k * w) - budget
+        assert np.all(np.abs(residual) <= 1e-12 * (1.0 + budget)), (theta, k)
+        assert np.all((0.0 <= w) & (w <= window))
+        assert np.array_equal(w[c == 0.0], budget[c == 0.0] / theta)
+
+
+def test_importing_mmqvi_leaves_scipy_special_unloaded():
+    # the replay loads scipy.special on first use; loaded at import, it
+    # would add about 45 ms and 2.5 MB to every process, solves included
+    src = str(Path(mmqvi.__file__).resolve().parents[1])
+    code = "import sys, mmqvi; print([m for m in sys.modules if m.startswith('scipy.special')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_event_counts_match_the_signal_free_rates():
