@@ -44,7 +44,8 @@ class GridSpec:
     q_bar: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_time_steps, int) and self.n_time_steps >= 1):
+        if (isinstance(self.n_time_steps, bool) or not isinstance(self.n_time_steps, int)
+                or self.n_time_steps < 1):
             raise ValueError(f"n_time_steps must be an integer >= 1, got {self.n_time_steps!r}")
         if not isinstance(self.n_alpha_points, int) or self.n_alpha_points < 3:
             raise ValueError(f"n_alpha_points must be an odd integer >= 3, got {self.n_alpha_points!r}")
@@ -54,7 +55,7 @@ class GridSpec:
             )
         if not self.alpha_cap > 0:
             raise ValueError(f"alpha_cap must be > 0, got {self.alpha_cap!r}")
-        if not (isinstance(self.q_bar, int) and self.q_bar > 0):
+        if isinstance(self.q_bar, bool) or not isinstance(self.q_bar, int) or self.q_bar < 1:
             raise ValueError(f"q_bar must be a positive integer, got {self.q_bar!r}")
 
 

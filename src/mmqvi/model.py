@@ -84,7 +84,7 @@ class ModelParams:
                     ParameterWarning,
                     stacklevel=3,
                 )
-        if not (isinstance(self.q_bar, int) and self.q_bar > 0):
+        if isinstance(self.q_bar, bool) or not isinstance(self.q_bar, int) or self.q_bar < 1:
             raise ValueError(f"q_bar must be a positive integer, got {self.q_bar!r}")
 
     @property

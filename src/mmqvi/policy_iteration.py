@@ -82,7 +82,8 @@ class PiterConfig:
     def __post_init__(self) -> None:
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.verification not in VERIFICATION_LEVELS:
             raise ValueError(

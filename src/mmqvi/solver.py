@@ -6,7 +6,9 @@ before stepping further back; the loop includes the n = 0 level so the
 policy at t = 0 is available.  An explicit one-step baseline with the same
 spatial stencils is provided for cross-checks: it is subject to a CFL
 restriction and is expected to blow up when that restriction is violated,
-which it signals instead of returning garbage.
+which it signals instead of returning garbage.  Its impulse step is closed
+form: the obstacle max_j' v(j') - upsilon |j - j'| over inventory indices j'
+comes from running maxima of v + upsilon j and v - upsilon j; ties go up.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .policy_iteration import (
     VerificationError,
     iterate,
 )
-from .scheme import Policy, apply_caps
+from .scheme import Policy
 
 log = logging.getLogger(__name__)
 
@@ -86,8 +88,10 @@ class Solution:
 
     def value_at(self, n: int, alpha: float, q: int) -> float:
         """Surface value at time level n, linear in alpha between nodes;
-        raises ValueError for an inventory that is not integral or outside
-        [-q_bar, q_bar]."""
+        raises ValueError for a level outside 0..N and for an inventory that
+        is not integral or outside [-q_bar, q_bar]."""
+        if not 0 <= n < len(self.surfaces):
+            raise ValueError(f"time level {n} outside 0..{len(self.surfaces) - 1}")
         g = self.grid
         jj = inventory_units(q) + g.qs[-1]
         if not 0 <= jj < g.n_q:
@@ -203,26 +207,24 @@ def explicit_cfl_factor(p: ModelParams, grid: Grid) -> float:
 
 
 def _project_impulses(grid: Grid, p: ModelParams, v2d: np.ndarray):
-    """Raise values to the impulse obstacle max_z v(q +/- 1) - upsilon.
+    """Raise values to the impulse obstacle max_j' v(j') - upsilon |j - j'|.
 
-    Repeated sweeps let impulses chain across inventory levels; at most
-    n_q - 1 sweeps are needed.
+    That is the L1 distance transform of v along inventory index j, which
+    two running maxima give exactly (Felzenszwalb & Huttenlocher 2012):
+    with c = upsilon * j, the source below is max_{j' < j} (v + c) - c and
+    the one above max_{j' > j} (v - c) + c, -inf where there is none.
+    Returns the raised values, d where the obstacle beats v, and up (z = +1)
+    where d = 0 or the source above is at least as good as the one below:
+    an exact tie goes up, however near the one below is.
     """
-    d = np.zeros_like(v2d, dtype=bool)
-    z = np.ones_like(v2d, dtype=np.int8)
-    for _ in range(grid.n_q - 1):
-        cand_up = np.full_like(v2d, -np.inf)
-        cand_up[:-1] = v2d[1:] - p.upsilon
-        cand_dn = np.full_like(v2d, -np.inf)
-        cand_dn[1:] = v2d[:-1] - p.upsilon
-        best = np.maximum(cand_up, cand_dn)
-        improved = best > v2d
-        if not improved.any():
-            break
-        z = np.where(improved, np.where(cand_up >= cand_dn, 1, -1), z).astype(np.int8)
-        d |= improved
-        v2d = np.where(improved, best, v2d)
-    return v2d, d, z
+    c = p.upsilon * np.arange(grid.n_q)[:, None]
+    below = np.full_like(v2d, -np.inf)
+    below[1:] = np.maximum.accumulate(v2d + c)[:-1] - c[1:]
+    above = np.full_like(v2d, -np.inf)
+    above[:-1] = np.maximum.accumulate((v2d - c)[::-1])[::-1][1:] + c[:-1]
+    best = np.maximum(above, below)
+    d = best > v2d
+    return np.where(d, best, v2d), d, ~d | (above >= below)
 
 
 def solve_explicit_baseline(
@@ -252,7 +254,7 @@ def solve_explicit_baseline(
     for n in range(n_levels - 1, -1, -1):
         cont, la, lb, _, _ = scheme._branches(tables, v, v)
         v2d = v.reshape(grid.n_q, grid.n_alpha) + grid.d_t * cont
-        v2d, d, z = _project_impulses(grid, p, v2d)
+        v2d, d, up = _project_impulses(grid, p, v2d)
         v = v2d.ravel()
         if not np.isfinite(v).all():
             raise ExplicitInstabilityError(n, "non-finite values", cfl)
@@ -260,9 +262,8 @@ def solve_explicit_baseline(
         if v.min() < lo - ENVELOPE_TOL or v.max() > hi + ENVELOPE_TOL:
             raise ExplicitInstabilityError(n, "stability envelope violated", cfl)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
-        policies[n] = apply_caps(
-            grid, la.ravel(), lb.ravel(), z.ravel(), d.ravel()
-        )
+        # admissible as packed: no outward fill, and a cap's source is inward
+        policies[n] = Policy(scheme._pack(la, lb, d, up).ravel())
 
     metadata = {
         "method": "explicit",
@@ -310,15 +311,18 @@ def refinement_table(
     """Solve on ``rounds + 1`` nested grids and tabulate t = 0 probe values.
 
     Probe alphas must be nodes of the base grid (they then stay nodes on
-    every refinement); probe inventories are exact.
+    every refinement); probe inventories must be integers in [-q_bar, q_bar].
+    Both are checked before any round is solved.
     """
     specs = [base_spec]
     for _ in range(rounds):
         specs.append(refine_spec(specs[-1]))
-    probes = [(float(a), int(q)) for q in probe_qs for a in probe_alphas]
+    probes = [(float(a), inventory_units(q)) for q in probe_qs for a in probe_alphas]
 
     base_grid = build_grid(p, base_spec)
-    for a, _ in probes:
+    for a, q in probes:
+        if abs(q) > base_spec.q_bar:
+            raise ValueError(f"probe inventory {q} outside [-q_bar, q_bar]")
         i = base_grid.nearest_alpha_index(a)
         if abs(base_grid.alphas[i] - a) > 1e-9 * max(1.0, abs(a)):
             raise ValueError(f"probe alpha {a} is not a node of the base grid")
@@ -330,6 +334,8 @@ def refinement_table(
         v0 = sol.surfaces[0].values.reshape(g.n_q, g.n_alpha)
         for c, (a, q) in enumerate(probes):
             values[r, c] = v0[q + g.qs[-1], g.nearest_alpha_index(a)]
+        # free this round's surfaces before the next, larger solve
+        del sol, v0
         log.debug("refinement round %d (N=%d, n_alpha=%d) done", r,
                   s.n_time_steps, s.n_alpha_points)
 

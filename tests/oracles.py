@@ -4,10 +4,11 @@ Only tests use these.  They restate, one node and one stencil at a time,
 what ``mmqvi.grid`` and ``mmqvi.scheme`` compute for whole grids at once:
 the shift stencils behind ``StencilSet.up``/``down``, the rows behind
 ``scheme.row_types``, the row each node's controls select behind
-``scheme.policy_rows``, the node residual behind ``scheme.residual``, and the
-impulse chains behind ``policy_iteration._impulse_chains``.  ``assemble_rhs``
-builds b(P) from a policy's controls, as ``scheme.StepTables.rhs`` gathers it
-by row type.
+``scheme.policy_rows``, the node residual behind ``scheme.residual``, the
+impulse chains behind ``policy_iteration._impulse_chains``, and the impulse
+obstacle behind ``solver._project_impulses``, by repeated neighbour sweeps.
+``assemble_rhs`` builds b(P) from a policy's controls, as
+``scheme.StepTables.rhs`` gathers it by row type.
 """
 
 from __future__ import annotations
@@ -256,6 +257,29 @@ def walk_impulse_chain(grid: Grid, d, z, start: int):
         if d[node] == 0:
             return nodes, node
     return nodes, None
+
+
+def project_impulses(grid: Grid, p: ModelParams, v2d: np.ndarray):
+    """Raise values to the impulse obstacle max_z v(q +/- 1) - upsilon.
+
+    Repeated sweeps let impulses chain across inventory levels; at most
+    n_q - 1 sweeps are needed.
+    """
+    d = np.zeros_like(v2d, dtype=bool)
+    z = np.ones_like(v2d, dtype=np.int8)
+    for _ in range(grid.n_q - 1):
+        cand_up = np.full_like(v2d, -np.inf)
+        cand_up[:-1] = v2d[1:] - p.upsilon
+        cand_dn = np.full_like(v2d, -np.inf)
+        cand_dn[1:] = v2d[:-1] - p.upsilon
+        best = np.maximum(cand_up, cand_dn)
+        improved = best > v2d
+        if not improved.any():
+            break
+        z = np.where(improved, np.where(cand_up >= cand_dn, 1, -1), z).astype(np.int8)
+        d |= improved
+        v2d = np.where(improved, best, v2d)
+    return v2d, d, z
 
 
 def assemble_rhs(grid: Grid, p: ModelParams, policy, v_next: np.ndarray) -> np.ndarray:

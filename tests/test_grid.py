@@ -44,6 +44,9 @@ def small_params(**overrides):
         (dict(n_alpha_points=1), "n_alpha_points"),
         (dict(alpha_cap=0.0), "alpha_cap"),
         (dict(q_bar=0), "q_bar"),
+        # a bool is an int to isinstance: True once made a one-step grid
+        (dict(n_time_steps=True), "n_time_steps"),
+        (dict(q_bar=True), "q_bar"),
     ],
 )
 def test_grid_spec_rejects_bad_fields(kwargs, field):

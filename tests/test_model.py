@@ -94,7 +94,7 @@ def test_zero_allowed_fields_warn_at_zero_and_reject_negative(name):
         make_params(**{name: -1e-9})
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 def test_q_bar_must_be_a_positive_integer(bad):
     with pytest.raises(ValueError, match="q_bar"):
         make_params(q_bar=bad)

