@@ -37,7 +37,7 @@ from .policy_iteration import (
     verify_theorem_conditions,
 )
 from .presets import default_grid_spec, default_params
-from .scheme import Policy, SparseSystem, apply_caps, assemble_system, residual, row_types
+from .scheme import Policy, SparseSystem, assemble_system, residual, row_types
 from .solver import (
     ExplicitInstabilityError,
     RefinementResult,
@@ -77,7 +77,6 @@ __all__ = [
     "ValueSurface",
     "VerificationError",
     "VerificationReport",
-    "apply_caps",
     "assemble_system",
     "build_grid",
     "build_stencils",

@@ -1,26 +1,30 @@
 """Howard policy iteration for one implicit time step.
 
-Alternates the node-wise argmax of the step residual with a linear solve of
-the selected policy system until the relative change of the iterate drops
-below tolerance or the policy repeats exactly.  Under the verified matrix
-conditions (Z-matrix, diagonal dominance, and an impulse chain from every
-d = 1 node to a continuation node) A(P) is a nonsingular M-matrix, so the
-solve runs regular-splitting sweeps started from the current iterate, which
-is a subsolution of the improved policy's system.  The sweeps, and with them
-the iterates, are then entrywise nondecreasing, and the iteration converges
-in finitely many steps; monotonicity is asserted at verification level
-``per-step`` and above.
+Alternates the node-wise argmax of the step residual with an evaluation of
+the selected policy system until, after a full solve, the relative change
+of the iterate drops below tolerance or the policy repeats exactly.  While
+the policy moves, an evaluation is one splitting sweep (a single-sweep step,
+as in modified policy iteration; Puterman & Shin 1978); a policy that holds
+across a sweep is solved to the residual contract.  Under the verified
+matrix conditions (Z-matrix, diagonal dominance, and an impulse chain from
+every d = 1 node to a continuation node) A(P) is a nonsingular M-matrix, so
+the sweeps of a regular splitting started from a subsolution stay
+subsolutions, and the argmax at a subsolution has a nonnegative residual:
+every evaluation starts from a subsolution of the improved policy's system.
+The iterates are then entrywise nondecreasing, and the iteration converges;
+monotonicity is asserted at verification level ``per-step`` and above.
 
 Every row of A(P) is one of the grid's row types, which are split once per
 grid into band pieces and a table of N's rows, and checked once for
 the row-local Z-matrix and dominance conditions (Azimzadeh & Forsyth 2016):
 per row type, its interior and boundary dominance margins and one word of
 failure flags.  Per policy the report, the splitting and the right side
-gather their rows from these tables, and one impulse-chain walk by pointer
-doubling verifies the impulse graph and gives the splitting the chains it
-closes; no A(P) is built on the solve path.  Improvement reads the
-problem's ``scheme.StepTables``.  The problem's ``SystemCache`` holds all
-of these tables and is the one input of ``iterate``.
+gather their rows from these tables (the splitting only its changed rows),
+and one impulse-chain walk by pointer doubling verifies the impulse graph
+and gives the splitting the chains it closes; no A(P) is built on the solve
+path.  Improvement reads the problem's ``scheme.StepTables``.  The problem's
+``SystemCache`` holds all of these tables and is the one input of
+``iterate``.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ class PiterConfig:
     """Stopping rule and safeguards for one policy-iteration call."""
 
     tol: float = 1e-8
+    # full solves and single-sweep steps of one call together
     max_iter: int = 200
     verification: str = "per-step"
     # every solve's residual contract, and the unit of the monotonicity and
@@ -93,15 +98,17 @@ class PiterConfig:
 
 @dataclass
 class PiterTrace:
-    """Per-iteration diagnostics: policy digests, stopping metrics, the
-    smallest entrywise increment of each new iterate (negative = decrease),
-    the route of each solve (``fresh``: report and splitting gathered;
-    ``reused``: the cached report and splitting), the splitting sweeps of
-    each solve, the number of solves that fell back to sparse LU, the
-    verification report of each solved system, and for every improvement
-    after the first the number of nodes whose (la, lb, d, z) changed from
-    the previous one.  ``phase_s`` totals the seconds spent in improvement,
-    in ``SystemCache.load`` and in the solves (sweeps and fallback).
+    """Per-iteration diagnostics.  Per full solve: the policy digest, the
+    stopping metric, the route of the load that made its system
+    (``fresh``: report and splitting gathered; ``reused``: the cached report
+    and splitting) and its splitting sweeps.  The smallest entrywise
+    increment of each new iterate, of solves and single sweeps alike
+    (negative = decrease); the number of single-sweep steps and of solves
+    that fell back to sparse LU; the verification report of each loaded
+    system; and for every improvement after the first the number of nodes
+    whose (la, lb, d, z) changed from the previous one.  ``phase_s`` totals
+    the seconds spent in improvement, in ``SystemCache.load`` and in the
+    sweeps and solves (with their fallback).
     """
 
     policy_digests: list[str] = field(default_factory=list)
@@ -112,6 +119,7 @@ class PiterTrace:
     fallbacks: int = 0
     reports: list["VerificationReport"] = field(default_factory=list)
     switched: list[int] = field(default_factory=list)
+    sweep_steps: int = 0
     converged_by: str = ""
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
@@ -157,7 +165,7 @@ class SystemCache:
     ``mode`` the stencil mode.  No other copy of the row types is kept.  The
     one entry is ``rows``, the ``policy_rows`` selection that fixes A(P),
     with its verification ``report`` and ``split``, the
-    ``linsolve.Splitting`` of A(P).
+    ``linsolve.Splitting`` of A(P), which later loads rewrite in place.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
@@ -171,17 +179,32 @@ class SystemCache:
     def load(self, policy: Policy) -> str:
         """Make the entry A(P)'s and return its route: ``reused`` when the
         entry already selects the rows of ``policy``, else ``fresh`` after
-        gathering the report and splitting.  Impulse chains are closed only
-        when the walk finds every one ending in a continuation node."""
+        gathering the report and splitting.  After the first load only the
+        rows whose selection changed are written into the splitting, which
+        is then factored anew; the impulse chains are walked again only when
+        a changed row is an impulse row before or after.  Chains are closed
+        only when the walk finds every one ending in a continuation node."""
         grid = self.step.grid
         rows = scheme.policy_rows(grid, policy)
-        if np.array_equal(rows, self.rows):
-            return "reused"
-        failing_node, chains = _impulse_chains(grid, policy)
+        if self.rows is None:
+            failing_node, chains = _impulse_chains(grid, policy)
+            self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
+                                            linsolve.gather(self.n_types, rows, grid.n_nodes),
+                                            chains)
+        else:
+            at = np.flatnonzero(rows != self.rows)
+            if at.size == 0:
+                return "reused"
+            new, split = rows[at], self.split
+            split.band[:, at] = self.band[:, new]
+            linsolve.regather(split.n_part, self.n_types, new, at)
+            impulse = 4 * grid.n_nodes
+            if (new >= impulse).any() or (self.rows[at] >= impulse).any():
+                failing_node, chains = _impulse_chains(grid, policy)
+            else:
+                failing_node, chains = self.report.failing_node, split.chains
+            split.refactor(chains)
         self.report = _report(self.facts, rows, self.mode, failing_node)
-        self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
-                                        linsolve.gather(self.n_types, rows, grid.n_nodes),
-                                        chains)
         self.rows = rows
         return "fresh"
 
@@ -347,64 +370,85 @@ def _stopping_metric(v_new: np.ndarray, v_old: np.ndarray) -> float:
 
 
 def iterate(
-    cache: SystemCache, v0: np.ndarray, v_next: np.ndarray, cfg: PiterConfig = PiterConfig()
+    cache: SystemCache,
+    v0: np.ndarray,
+    v_next: np.ndarray,
+    cfg: PiterConfig = PiterConfig(),
+    policy: Policy | None = None,
 ) -> tuple[np.ndarray, Policy, PiterTrace]:
     """Run policy iteration from warm start ``v0`` for one time step of the
-    problem of ``cache``.
+    problem of ``cache``, starting from ``policy``, or from the improvement
+    at ``v0`` when it is None.
 
     Returns the converged value vector, the policy whose system it solves,
-    and the iteration trace.  Raises PolicyIterationError when the iteration
-    budget is exhausted or (at verification per-step and above) when an
-    iterate decreases by more than 10x the solver tolerance.
+    and the iteration trace.  Raises PolicyIterationError when
+    ``cfg.max_iter`` solves and single sweeps have not converged, or (at
+    verification per-step and above) when an iterate decreases by more than
+    10x the solver tolerance.
 
-    A(P) is fixed by the policy's row selection.  A solve whose policy
-    selects the rows of the entry in ``cache`` reuses its report and
-    splitting; any other gathers both from the cache's per-grid tables.
-    Every solve gathers its right side from them, and every improvement
-    reads the cache's ``scheme.StepTables``.  At verification per-step and above, every solve
-    raises VerificationError when its report has a hard failure.  Each solve
-    sweeps the splitting from the current iterate; a solve whose sweeps miss
-    the residual contract within ``linsolve.SWEEP_BUDGET`` falls back to
-    sparse LU.  Pass one cache to successive calls to carry the split row
-    types and the splitting across time steps.
+    The first policy is solved to the residual contract.  After that, an
+    improvement that changes the policy is followed by one splitting sweep
+    under the new policy (a single-sweep step), and one that returns the
+    policy just swept with by a full solve from the swept iterate, so a free
+    boundary moves a cell per sweep rather than per solve.  Every stop
+    follows a full solve: on a repeated policy at the next improvement, or
+    on a relative change of that solve below ``cfg.tol``.  A call given a
+    ``policy`` stops only after at least one improvement.  From a
+    subsolution of the first system every step stays monotone: a sweep
+    keeps a subsolution one, and the improved policy's residual at it is
+    nonnegative.
+
+    A(P) is fixed by the policy's row selection.  A policy that selects the
+    rows of the entry in ``cache`` reuses its report and splitting; any
+    other gathers its changed rows from the cache's per-grid tables.  Every
+    step gathers its right side from them, and every improvement reads the
+    cache's ``scheme.StepTables``.  At verification per-step and above, every
+    step raises VerificationError when its report has a hard failure.  A
+    solve whose sweeps miss the residual contract within
+    ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
+    successive calls to carry the split row types and the splitting across
+    time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
-    prev_policy: Policy | None = None
     verify = cfg.verification != "off"
     phase_s = trace.phase_s
     clock = time.perf_counter
-
-    for _ in range(cfg.max_iter):
+    improved = policy is None
+    if policy is None:
         started = clock()
         policy = improve_policy(cache.step, v, v_next)
         phase_s["improve"] += clock() - started
-        if prev_policy is not None:
-            trace.switched.append(policy.switched_nodes(prev_policy))
-            if trace.switched[-1] == 0:
-                trace.converged_by = "policy-repeat"
-                return v, prev_policy, trace
+    exact, load = True, True
 
+    for _ in range(cfg.max_iter):
+        if load:
+            started = clock()
+            route = cache.load(policy)
+            phase_s["load"] += clock() - started
+            if verify and not cache.report.sound:
+                raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
+            trace.reports.append(cache.report)
+            rhs = cache.rhs(v_next)
         started = clock()
-        route = cache.load(policy)
-        phase_s["load"] += clock() - started
-        if verify and not cache.report.sound:
-            raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
-        rhs = cache.rhs(v_next)
-        started = clock()
-        report = cache.split.solve(rhs, cfg.solver_tol, v)
+        if exact:
+            report = cache.split.solve(rhs, cfg.solver_tol, v)
+            v_new = report.solution
+        else:
+            v_new = cache.split.sweep(v, rhs)
         phase_s["solve"] += clock() - started
-        v_new = report.solution
         increment = float((v_new - v).min())
-        metric = _stopping_metric(v_new, v)
-        trace.policy_digests.append(policy.digest())
-        trace.stop_metrics.append(metric)
         trace.min_increments.append(increment)
-        trace.routes.append(route)
-        trace.sweeps.append(report.iterations)
-        trace.fallbacks += report.method != "splitting"
-        trace.reports.append(cache.report)
+        if exact:
+            metric = _stopping_metric(v_new, v)
+            trace.policy_digests.append(policy.digest())
+            trace.stop_metrics.append(metric)
+            trace.routes.append(route)
+            trace.sweeps.append(report.iterations)
+            trace.fallbacks += report.method != "splitting"
+        else:
+            trace.sweep_steps += 1
 
         if verify and increment < -10.0 * cfg.solver_tol:
             raise PolicyIterationError(
@@ -414,12 +458,24 @@ def iterate(
             )
 
         v = v_new
-        prev_policy = policy
-        if metric < cfg.tol:
+        if exact and improved and metric < cfg.tol:
             trace.converged_by = "metric"
             if cfg.verification == "exhaustive":
                 _check_complementarity(cache.step, v, v_next, cfg)
             return v, policy, trace
+
+        started = clock()
+        improved_policy = improve_policy(cache.step, v, v_next)
+        phase_s["improve"] += clock() - started
+        improved = True
+        trace.switched.append(improved_policy.switched_nodes(policy))
+        if trace.switched[-1] == 0:
+            if exact:
+                trace.converged_by = "policy-repeat"
+                return v, policy, trace
+            exact, load = True, False
+        else:
+            exact, load, policy = False, True, improved_policy
 
     raise PolicyIterationError(
         f"no convergence within {cfg.max_iter} iterations "

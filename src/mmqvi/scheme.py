@@ -114,18 +114,6 @@ class Policy:
         return int(np.count_nonzero(self.code != other.code))
 
 
-def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
-    """Build a Policy from raw arrays, forcing the cap constraints.
-
-    Quote bits pointing out of the inventory band are zeroed and impulses
-    with an outward direction at a cap are demoted to continuation.
-    """
-    jj = np.arange(grid.n_nodes) // grid.n_alpha
-    bottom, top = jj == 0, jj == grid.n_q - 1
-    outward = (top & np.equal(z, 1)) | (bottom & np.equal(z, -1))
-    return Policy.of(np.where(bottom, 0, la), np.where(top, 0, lb), z, np.where(outward, 0, d))
-
-
 @dataclass(eq=False)
 class SparseSystem:
     """Assembled linear system A(P) v = b(P), matrix in CSR form.
@@ -163,23 +151,26 @@ class StepTables:
     """Per-grid constants of one implicit step, built once per problem.
 
     Policy improvement reads the upwind coefficients ``lup``/``ldn`` (the
-    forward and backward legs, sliced as the differences use them), the
-    reward terms ``sqa`` = sigma*q*alpha and ``pq2`` = phi*q^2 as (n_q,
-    n_alpha) arrays, and ``shifts``, the up and down shift maps stacked into
-    one [up; down] map.  ``dt_reward`` holds dt*f for each of the six row
-    types of ``row_types`` (zero on the impulse blocks), so the right side of
-    a policy is a gather by its ``policy_rows``.
+    forward leg of node i and the backward leg of node i + 1 on the
+    difference v(i + 1) - v(i) of consecutive nodes, zero where the two lie
+    in different inventory rows), the reward terms sigma*q*alpha - phi*q^2
+    as the (n_q, n_alpha) array ``reward``, and ``jumps``, the up and down
+    shift maps of every node stacked into one [lambda_a up; lambda_b down]
+    map, rates included.  ``dt_reward`` holds dt*f for each of the six row
+    types of ``row_types`` (zero on the impulse blocks), so the right side
+    of a policy is a gather by its ``policy_rows``.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
         self.grid, self.p = grid, p
         lup, ldn = _upwind_coeffs(grid, p)
-        self.lup, self.ldn = lup[:-1], ldn[1:]
+        self.lup, self.ldn = (np.tile(np.append(leg, 0.0), grid.n_q)[:-1]
+                              for leg in (lup[:-1], ldn[1:]))
         q_col = grid.qs[:, None].astype(float)
-        shape = (grid.n_q, grid.n_alpha)
-        self.sqa = p.sigma * q_col * grid.alphas[None, :]
-        self.pq2 = np.ascontiguousarray(np.broadcast_to(p.phi * q_col**2, shape))
-        self.shifts = sp.vstack([st.up, st.down], format="csr")
+        self.reward = p.sigma * q_col * grid.alphas[None, :] - p.phi * q_col**2
+        eye_q = sp.identity(grid.n_q, format="csr")
+        self.jumps = sp.vstack([p.lambda_a * sp.kron(eye_q, st.up),
+                                p.lambda_b * sp.kron(eye_q, st.down)], format="csr")
         alpha, q = grid.alpha_of_node, grid.q_of_node.astype(float)
         self.dt_reward = np.concatenate(
             [grid.d_t * running_reward(p, alpha, q, la, lb) for la in (0, 1) for lb in (0, 1)]
@@ -206,45 +197,39 @@ def _branches(tables: StepTables, v: np.ndarray, v_next: np.ndarray):
     q < q_bar; an impulse up needs q < q_bar and one down q > -q_bar.
     """
     grid, p = tables.grid, tables.p
-    n_q, n_alpha = grid.n_q, grid.n_alpha
-    v2d = v.reshape(n_q, n_alpha)
-    v_next2d = v_next.reshape(n_q, n_alpha)
+    shape = (grid.n_q, grid.n_alpha)
+    v2d = v.reshape(shape)
 
-    shifted = tables.shifts @ v2d.T
-    jump_up = np.multiply(shifted[:n_alpha].T, p.lambda_a, order="C")
-    jump_dn = np.multiply(shifted[n_alpha:].T, p.lambda_b, order="C")
+    jump_up, jump_dn = (tables.jumps @ v).reshape(2, *shape)
     # a fill moves inventory one unit: v(q - 1) on the ask, v(q + 1) on the bid
     fill_up = jump_up[:-1] + p.lambda_a * p.delta
     fill_dn = jump_dn[1:] + p.lambda_b * p.delta
-    la = np.zeros((n_q, n_alpha), dtype=bool)
-    lb = np.zeros((n_q, n_alpha), dtype=bool)
+    la = np.zeros(shape, dtype=bool)
+    lb = np.zeros(shape, dtype=bool)
     np.greater(fill_up, jump_up[1:], out=la[1:])
     np.greater(fill_dn, jump_dn[:-1], out=lb[:-1])
     np.maximum(jump_up[1:], fill_up, out=jump_up[1:])
     np.maximum(jump_dn[:-1], fill_dn, out=jump_dn[:-1])
 
-    drift = np.zeros_like(v2d)
-    step = v2d[:, 1:] - v2d[:, :-1]
-    drift[:, :-1] += tables.lup * step
-    drift[:, 1:] += tables.ldn * -step
-    cont = (
-        (v_next2d - v2d) / grid.d_t
-        + drift
-        + tables.sqa
-        - tables.pq2
-        - (p.lambda_a + p.lambda_b) * v2d
-    )
+    step = v[1:] - v[:-1]
+    cont = v_next - v
+    cont /= grid.d_t
+    cont[:-1] += tables.lup * step
+    cont[1:] -= tables.ldn * step
+    cont = cont.reshape(shape)
+    cont += tables.reward
+    cont -= (p.lambda_a + p.lambda_b) * v2d
     cont += jump_up
     cont += jump_dn
 
     rise = v2d[1:] - v2d[:-1]
     imp_up = rise - p.upsilon
     imp_dn = -rise - p.upsilon
-    up = np.ones((n_q, n_alpha), dtype=bool)
+    up = np.ones(shape, dtype=bool)
     imp = np.empty_like(v2d)
     imp[0], imp[-1], up[-1] = imp_up[0], imp_dn[-1], False
     np.maximum(imp_up[1:], imp_dn[:-1], out=imp[1:-1])
-    up[1:-1][imp_up[1:] < imp_dn[:-1]] = False
+    np.greater_equal(imp_up[1:], imp_dn[:-1], out=up[1:-1])
     return cont, la, lb, imp, up
 
 
@@ -284,13 +269,9 @@ def row_types(grid: Grid, p: ModelParams, st: StencilSet) -> sp.csr_matrix:
     local = sp.kron(move[0], tri, format="csr")
     # T first, then the up and down shifts: columns where they coincide sum
     # in that order, as a row-by-row assembly of the same terms does
-    blocks = [
-        local
-        - dt * p.lambda_a * sp.kron(move[-la], st.up, format="csr")
-        - dt * p.lambda_b * sp.kron(move[lb], st.down, format="csr")
-        for la in (0, 1)
-        for lb in (0, 1)
-    ]
+    ask = [dt * p.lambda_a * sp.kron(move[-la], st.up, format="csr") for la in (0, 1)]
+    bid = [dt * p.lambda_b * sp.kron(move[lb], st.down, format="csr") for lb in (0, 1)]
+    blocks = [local - ask[la] - bid[lb] for la in (0, 1) for lb in (0, 1)]
     eye_alpha = sp.identity(grid.n_alpha, format="csr")
     blocks += [sp.kron(move[0] - move[z], eye_alpha, format="csr") for z in (1, -1)]
     return sp.vstack(blocks, format="csr")

@@ -31,7 +31,7 @@ from .policy_iteration import (
     VerificationError,
     iterate,
 )
-from .scheme import Policy
+from .scheme import D, Policy
 
 log = logging.getLogger(__name__)
 
@@ -127,11 +127,18 @@ def solve_backward(
 ) -> Solution:
     """Solve all time levels backward from the terminal surface.
 
+    The last level starts policy iteration from the improvement at v^N;
+    every other level n starts from level n + 1's final policy, and from
+    v^{n+1} raised by the least v^{n+1} - v^{n+2} over that policy's
+    continuation rows, a subsolution of its system at level n.
+
     A PolicyIterationError, VerificationError or SolveError raised while
     solving a level is raised again with the time level in its message, its
     type and payload unchanged.  ``metadata["per_level"]`` records each
-    level's policy iteration, and ``metadata["phase_s"]`` the seconds all
-    levels spent in improvement, in ``SystemCache.load`` and in the solves.
+    level's policy iteration, its ``sweeps`` counting those of the full
+    solves and the ``sweep_steps`` (single-sweep steps) alike, and
+    ``metadata["phase_s"]`` the seconds all levels spent in improvement, in
+    ``SystemCache.load`` and in the sweeps and solves.
     """
     started = time.perf_counter()
     grid = build_grid(p, spec)
@@ -149,9 +156,20 @@ def solve_backward(
     # splitting carries over.
     cache = SystemCache(grid, p, st)
 
+    policy = v_after = None
     for n in range(n_levels - 1, -1, -1):
+        start = v
+        if policy is not None:
+            # A(P) of the last policy is the same at this level, and its
+            # continuation rows sum to 1 and impulse rows to 0: v^{n+1}
+            # raised by the least rise v^{n+1} - v^{n+2} over the
+            # continuation rows is a subsolution of this level's system.
+            # A negative rise lowers the start, which keeps it one.
+            rise = np.min(v - v_after, where=(policy.code & D) == 0, initial=np.inf)
+            start = v + (rise if np.isfinite(rise) else 0.0)
+        v_after = v
         try:
-            v, policy, trace = iterate(cache, v, v, piter)
+            v, policy, trace = iterate(cache, start, v, piter, policy)
         except PolicyIterationError as exc:
             raise PolicyIterationError(f"time level {n}: {exc}", exc.trace) from exc
         except VerificationError as exc:
@@ -171,7 +189,8 @@ def solve_backward(
                 "metric": trace.stop_metrics[-1] if trace.stop_metrics else 0.0,
                 "min_increment": min(trace.min_increments, default=0.0),
                 "converged_by": trace.converged_by,
-                "sweeps": sum(trace.sweeps),
+                "sweeps": sum(trace.sweeps) + trace.sweep_steps,
+                "sweep_steps": trace.sweep_steps,
                 "fallbacks": trace.fallbacks,
                 "reused_solves": trace.routes.count("reused"),
                 "switched_nodes": sum(trace.switched),

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import mmqvi
-from mmqvi import GridSpec, ModelParams, ParameterWarning, apply_caps
+from mmqvi import GridSpec, ModelParams, ParameterWarning
 from mmqvi.linsolve import Splitting, _checked, gather, split
-from oracles import continuation_row, impulse_row, unflatten
+from oracles import apply_caps, continuation_row, impulse_row, unflatten
 
 
 # A splitting solve and a sparse-LU solve of one step system both meet
@@ -63,6 +63,39 @@ def splitting_of(matrix) -> Splitting:
     n_part = gather(table, np.arange(matrix.shape[0]), matrix.shape[1])
     n_part.eliminate_zeros()
     return Splitting(band, n_part)
+
+
+def first_sweep_meeting(split, rhs, x0, tol) -> int | None:
+    """The first of plain ``split.sweep`` calls from ``x0`` after which the
+    full residual meets the contract ||A x - rhs||_inf <= tol * (1 +
+    ||rhs||_inf) on A = M - N; None when none within the sweep budget."""
+    bound = tol * (1.0 + float(np.abs(rhs).max()))
+    x = x0
+    for sweeps in range(1, mmqvi.linsolve.SWEEP_BUDGET + 1):
+        x = split.sweep(x, rhs)
+        if split.residual(x, rhs) <= bound:
+            return sweeps
+    return None
+
+
+@pytest.fixture
+def stops_checked(monkeypatch):
+    """Checks that every splitting solve of the test stops at the first
+    sweep whose full residual meets the contract; the list it returns
+    collects the sweep counts of the solves it checked."""
+    checked = []
+    real_solve = Splitting.solve
+
+    def checking_solve(self, rhs, tol=1e-10, x0=None):
+        report = real_solve(self, rhs, tol, x0)
+        if report.method == "splitting":
+            start = np.zeros_like(rhs) if x0 is None else x0
+            assert report.iterations == first_sweep_meeting(self, rhs, start, tol)
+            checked.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(Splitting, "solve", checking_solve)
+    return checked
 
 
 def admissible(grid, la, lb, d, zbit):

@@ -8,7 +8,8 @@ the shift stencils behind ``StencilSet.up``/``down``, the rows behind
 impulse chains behind ``policy_iteration._impulse_chains``, and the impulse
 obstacle behind ``solver._project_impulses``, by repeated neighbour sweeps.
 ``assemble_rhs`` builds b(P) from a policy's controls, as
-``scheme.StepTables.rhs`` gathers it by row type.
+``scheme.StepTables.rhs`` gathers it by row type, and ``apply_caps`` builds
+a policy from raw controls with the inventory caps forced.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from mmqvi.grid import EXACT_SHIFT_TOL, MODES, Grid, StencilSet
 from mmqvi.model import ModelParams, running_reward
+from mmqvi.scheme import Policy
 
 
 def flatten(grid: Grid, ii, jj):
@@ -291,3 +293,15 @@ def assemble_rhs(grid: Grid, p: ModelParams, policy, v_next: np.ndarray) -> np.n
     )
     rhs[policy.d.astype(bool)] = -p.upsilon
     return rhs
+
+
+def apply_caps(grid: Grid, la, lb, z, d) -> Policy:
+    """Build a Policy from raw arrays, forcing the cap constraints.
+
+    Quote bits pointing out of the inventory band are zeroed and impulses
+    with an outward direction at a cap are demoted to continuation.
+    """
+    jj = np.arange(grid.n_nodes) // grid.n_alpha
+    bottom, top = jj == 0, jj == grid.n_q - 1
+    outward = (top & np.equal(z, 1)) | (bottom & np.equal(z, -1))
+    return Policy.of(np.where(bottom, 0, la), np.where(top, 0, lb), z, np.where(outward, 0, d))

@@ -20,7 +20,6 @@ from mmqvi import (
     ExplicitInstabilityError,
     GridSpec,
     Policy,
-    apply_caps,
     assemble_system,
     build_grid,
     build_stencils,
@@ -36,7 +35,7 @@ from mmqvi import (
 from mmqvi.model import stability_bounds
 from mmqvi.policy_iteration import SystemCache, _impulse_chains
 
-from oracles import continuation_row, impulse_row, residual_at_node, unflatten
+from oracles import apply_caps, continuation_row, impulse_row, residual_at_node, unflatten
 
 
 def _report(capsys, num, name, ok, detail=""):

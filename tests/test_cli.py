@@ -38,6 +38,7 @@ from mmqvi.cli import (
     write_policy_csv,
     write_value_csv,
 )
+from oracles import apply_caps
 
 TINY_CONFIG = """\
 # model
@@ -175,8 +176,6 @@ def test_csv_writers_order_and_shape(tmp_path, toy_grid, toy_params):
     assert head == expected
     assert lines[1].split(",")[2] == "0"
     assert lines[2].split(",")[2] == _fmt(1.0 / 7.0)
-
-    from mmqvi import apply_caps
 
     m = toy_grid.n_nodes
     pol = apply_caps(
@@ -377,6 +376,11 @@ def test_installed_entry_point_runs(tiny_config, tmp_path):
 
 def test_module_route_runs(tiny_config, tmp_path):
     _run_cli([sys.executable, "-m", "mmqvi.cli"], tiny_config, tmp_path)
+
+
+def test_package_route_runs(tiny_config, tmp_path):
+    # python -m mmqvi once failed with "No module named mmqvi.__main__"
+    _run_cli([sys.executable, "-m", "mmqvi"], tiny_config, tmp_path)
 
 
 @pytest.mark.skipif(

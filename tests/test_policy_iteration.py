@@ -8,7 +8,6 @@ from mmqvi import (
     PiterConfig,
     PolicyIterationError,
     VerificationError,
-    apply_caps,
     assemble_system,
     build_grid,
     build_stencils,
@@ -17,7 +16,7 @@ from mmqvi import (
     verify_theorem_conditions,
 )
 from conftest import SPLIT_MATCH_FACTOR, split_match_ratio
-from oracles import flatten
+from oracles import apply_caps, flatten
 from mmqvi.linsolve import solve
 from mmqvi.policy_iteration import SystemCache, _impulse_chains, _stopping_metric
 from mmqvi.scheme import StepTables, policy_rows
@@ -156,12 +155,14 @@ def toy_policy(grid, edits=()):
 def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2,
                 values=None):
     """Solve one step under ``first``, then under ``second`` with the same
-    cache; return both traces and the number of splittings made.  The two
-    solutions are appended to ``values`` when it is given."""
+    cache; return both traces and the number of factorizations made, a new
+    splitting's or one gathered anew in place.  The two solutions are
+    appended to ``values`` when it is given."""
     splittings = []
-    splitting = mmqvi.linsolve.Splitting
+    refactor = mmqvi.linsolve.Splitting.refactor
     monkeypatch.setattr(
-        mmqvi.linsolve, "Splitting", lambda *a: splittings.append(1) or splitting(*a)
+        mmqvi.linsolve.Splitting, "refactor",
+        lambda *a, **k: splittings.append(1) or refactor(*a, **k),
     )
     cache = SystemCache(grid, p, st)
     v_next = terminal_vector(grid, p)
@@ -211,18 +212,20 @@ def test_inactive_impulse_direction_shares_the_factorization(
     [("la", 3, 0), ("lb", 3, 0), ("d", 3, 1), ("z", 4, -1)],
     ids=["la", "lb", "d", "active-z"],
 )
-def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit):
+def test_matrix_changes_refactor(toy_grid, toy_params, toy_stencils, monkeypatch, edit,
+                                 stops_checked):
     # A one-row change of A(P) verifies and splits it anew.
     first = toy_policy(toy_grid)
     second = toy_policy(toy_grid, [edit])
     assert not np.array_equal(policy_rows(toy_grid, first), policy_rows(toy_grid, second))
     values = []
-    (_, t2), splittings = solve_twice(
+    (t1, t2), splittings = solve_twice(
         toy_grid, toy_params, toy_stencils, first, second, monkeypatch, values=values
     )
     assert splittings == 2
     assert t2.routes == ["fresh"] and t2.fallbacks == 0
-    assert t2.sweeps[0] % mmqvi.linsolve.CHECK_EVERY == 0
+    # each solve stopped at the first sweep whose full residual met the contract
+    assert stops_checked == t1.sweeps + t2.sweeps
     assert_matches_lu(toy_grid, toy_params, toy_stencils, second, values[1])
 
 
@@ -231,13 +234,17 @@ def test_switched_counts_the_nodes_each_improvement_changes(
 ):
     first = toy_policy(toy_grid)
     second = toy_policy(toy_grid, [("la", 3, 0), ("z", 4, -1)])
-    policies = iter((first, second, second))
+    policies = iter((first, second, second, second))
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: next(policies))
     v_next = terminal_vector(toy_grid, toy_params)
     # the second policy need not improve on the first: no monotonicity check
     _, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next - 1e3,
                           v_next, PiterConfig(verification="off"))
-    assert trace.switched == [2, 0] and trace.converged_by == "policy-repeat"
+    # solve first; sweep once under second, which changed 2 nodes; solve
+    # second when the next improvement repeats it, and stop when one
+    # repeats it after that solve
+    assert trace.switched == [2, 0, 0] and trace.converged_by == "policy-repeat"
+    assert trace.sweep_steps == 1 and trace.iterations == 2
 
 
 def test_updated_rows_are_verified(toy_grid, toy_params, toy_stencils, monkeypatch):

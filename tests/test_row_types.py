@@ -19,7 +19,6 @@ from mmqvi import (  # noqa: E402
     GridSpec,
     PiterConfig,
     Policy,
-    apply_caps,
     assemble_system,
     build_grid,
     build_stencils,
@@ -35,6 +34,7 @@ from mmqvi.solver import terminal_vector  # noqa: E402
 
 from conftest import admissible, quiet_params  # noqa: E402
 from oracles import (  # noqa: E402
+    apply_caps,
     assemble_rhs,
     continuation_row,
     flatten,
@@ -442,3 +442,47 @@ def test_doubled_chains_end_where_a_plain_walk_ends(case):
     np.testing.assert_array_equal(ends, [end for _, end in walks])
     for c, (nodes, _) in enumerate(walks):
         np.testing.assert_array_equal(row[k == c], nodes)
+
+
+@hst.composite
+def policy_sequences(draw):
+    """A problem of ``problems`` and 2 to 6 random policies on it, each the
+    one before with a random share of its nodes redrawn, at random impulse
+    shares, so that chains end, cycle, appear and vanish along the way."""
+    grid, p, st = draw(problems())
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    shares = hst.sampled_from([0.0, 0.2, 0.6, 1.0])
+    policies = [random_policy(grid, rng, draw(shares))]
+    for _ in range(draw(hst.integers(1, 5))):
+        fresh = random_policy(grid, rng, draw(shares))
+        redrawn = rng.random(grid.n_nodes) < draw(hst.sampled_from([0.01, 0.1, 0.5, 1.0]))
+        policies.append(Policy(np.where(redrawn, fresh.code, policies[-1].code)))
+    return grid, p, st, policies
+
+
+@settings(max_examples=80, deadline=None)
+@given(policy_sequences())
+def test_a_load_after_any_policies_equals_a_load_from_scratch(case):
+    grid, p, st, policies = case
+    cache = SystemCache(grid, p, st)
+    for policy in policies:
+        cache.load(policy)
+    scratch = SystemCache(grid, p, st)
+    scratch.load(policies[-1])
+    # the band, N slot for slot, the chains and the report are the ones a
+    # first load gathers, so the sweeps agree bit for bit
+    got, want = cache.split, scratch.split
+    np.testing.assert_array_equal(got.band, want.band)
+    for part in ("indices", "indptr", "data"):
+        np.testing.assert_array_equal(getattr(got.n_part, part), getattr(want.n_part, part))
+    assert (got.chains is None) == (want.chains is None)
+    if got.chains is not None:
+        event("chains end")
+        (starts, ends, (k, row)), (starts0, ends0, (k0, row0)) = got.chains, want.chains
+        for a, b in ((starts, starts0), (ends, ends0), (k, k0), (row, row0)):
+            np.testing.assert_array_equal(a, b)
+    assert cache.report == scratch.report
+    np.testing.assert_array_equal(cache.rows, scratch.rows)
+    if want._lu is not None:
+        x, b = np.random.default_rng(0).normal(size=(2, grid.n_nodes))
+        np.testing.assert_array_equal(got.sweep(x, b), want.sweep(x, b))

@@ -12,7 +12,7 @@ recursion in (alpha-slope, intercept) form.
 import numpy as np
 import pytest
 
-from mmqvi import GridSpec, Policy, apply_caps, assemble_system, build_grid, build_stencils
+from mmqvi import GridSpec, Policy, assemble_system, build_grid, build_stencils
 from mmqvi.linsolve import solve
 from mmqvi.model import terminal_value
 from mmqvi.policy_iteration import SystemCache
@@ -21,6 +21,7 @@ from mmqvi.solver import terminal_vector
 
 from conftest import quiet_params
 from oracles import (
+    apply_caps,
     assemble_rhs,
     continuation_row,
     flatten,

@@ -14,9 +14,11 @@ from hypothesis import strategies as hst  # noqa: E402
 import mmqvi  # noqa: E402
 import mmqvi.linsolve  # noqa: E402
 import mmqvi.policy_iteration  # noqa: E402
+import mmqvi.solver  # noqa: E402
 from conftest import (  # noqa: E402
     SPLIT_MATCH_FACTOR,
     admissible,
+    first_sweep_meeting,
     quiet_params,
     residual_norm,
     residual_rounding,
@@ -91,7 +93,7 @@ def test_sweeps_rise_from_a_subsolution_to_the_lu_solution(case):
     assert split.n_part.min() >= 0.0  # a regular splitting
 
     x = x0
-    for _ in range(3 * mmqvi.linsolve.CHECK_EVERY):
+    for _ in range(12):
         x_new = split.sweep(x, b)
         assert (x_new - x).min() >= -10.0 * TOL
         x = x_new
@@ -130,7 +132,7 @@ def test_gathered_closed_sweeps_rise_to_the_lu_solution(case):
     c = np.random.default_rng(seed).uniform(0.0, 10.0, b.size)
     x0 = solve(a, b - c).solution  # a subsolution
     x = x0
-    for _ in range(3 * mmqvi.linsolve.CHECK_EVERY):
+    for _ in range(12):
         x_new = split.sweep(x, b)
         assert (x_new - x).min() >= -10.0 * TOL
         r = a @ x_new - b
@@ -139,31 +141,42 @@ def test_gathered_closed_sweeps_rise_to_the_lu_solution(case):
 
     report = split.solve(b, TOL, x0)
     assert report.method == "splitting"
+    # closing the chains moves the residual next to each chain start, and
+    # the solve still stops at the first sweep whose full residual meets
+    # the contract
+    assert report.iterations == first_sweep_meeting(split, b, x0, TOL)
     assert (report.solution - x0).min() >= -10.0 * TOL
     assert residual_norm(a, b, report.solution) <= TOL * (1.0 + np.abs(b).max())
     assert split_match_ratio(report.solution, exact, b) <= SPLIT_MATCH_FACTOR
 
 
-def test_each_solve_sweeps_from_the_current_iterate(fast_params, fast_spec, monkeypatch):
-    # the warm start is what makes the sweeps, and so policy iteration, monotone
-    grid = build_grid(fast_params, fast_spec)
-    st = build_stencils(grid, fast_params, "clamp")
-    starts, solutions = [], []
-    real_solve = Splitting.solve
+def test_each_solve_starts_from_a_subsolution_above_the_last(fast_params, fast_spec,
+                                                            monkeypatch):
+    # a start with A x0 <= b is what makes the sweeps, and so policy
+    # iteration, monotone: every solve starts from one, at or above the
+    # solution of the level's previous solve
+    levels = []
+    real_iterate, real_solve = mmqvi.solver.iterate, Splitting.solve
+
+    def recording_iterate(*args, **kwargs):
+        levels.append([])
+        return real_iterate(*args, **kwargs)
 
     def recording_solve(self, rhs, tol=1e-10, x0=None):
-        starts.append(None if x0 is None else x0.copy())
+        excess = float((self.matrix() @ x0 - rhs).max())
         report = real_solve(self, rhs, tol, x0)
-        solutions.append(report.solution)
+        levels[-1].append((x0.copy(), excess / (1.0 + np.abs(rhs).max()), report.solution))
         return report
 
+    monkeypatch.setattr(mmqvi.solver, "iterate", recording_iterate)
     monkeypatch.setattr(Splitting, "solve", recording_solve)
-    v_next = terminal_vector(grid, fast_params)
-    _, _, trace = iterate(SystemCache(grid, fast_params, st), v_next, v_next)
-    assert trace.iterations >= 2 and len(starts) == trace.iterations
-    np.testing.assert_array_equal(starts[0], v_next)
-    for start, previous in zip(starts[1:], solutions):
-        np.testing.assert_array_equal(start, previous)
+    solve_backward(fast_params, fast_spec)
+    assert len(levels) == fast_spec.n_time_steps
+    assert sum(len(solves) >= 2 for solves in levels) >= 5
+    for solves in levels:
+        assert all(relative_excess <= TOL for _, relative_excess, _ in solves)
+        for (_, _, previous), (start, _, _) in zip(solves, solves[1:]):
+            assert (start - previous).min() >= -10.0 * TOL
 
 
 def lu_ratios(sol, p):
