@@ -67,8 +67,6 @@ RUN_DEFAULTS = {
     "n_paths": 10_000,
     "extrapolation": "clamp",
     "verify": PiterConfig.verification,
-    "piter_tol": PiterConfig.tol,
-    "piter_max_iter": PiterConfig.max_iter,
     "refine_rounds": 3,
     "mc_x0": 0.0,
     "mc_s0": 100.0,
@@ -164,14 +162,6 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
     for key, allowed in RUN_CHOICES.items():
         if run[key] not in allowed:
             raise ConfigError(f"bad value for key {key}: {run[key]!r} (choose from {allowed})")
-    try:
-        piter = PiterConfig(
-            tol=run["piter_tol"],
-            max_iter=run["piter_max_iter"],
-            verification=run["verify"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if run["seed"] < 0:
         raise ConfigError(f"bad value for key seed: {run['seed']} (must be >= 0)")
     if run["n_paths"] < 1:
@@ -187,7 +177,7 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
     return RunConfig(
         params=params,
         spec=spec,
-        piter=piter,
+        piter=PiterConfig(verification=run["verify"]),
         extrapolation=run["extrapolation"],
         mode=run["mode"],
         out_dir=Path(run["out_dir"]),

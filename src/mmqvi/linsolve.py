@@ -12,7 +12,7 @@ on the chain).  The impulse block I - S has a nilpotent S >= 0, so this
 only raises a subsolution and keeps A x <= b: the sweeps stay monotone.
 Every solve is verified against the residual contract
 
-    ||A v - b||_inf <= tol * (1 + ||b||_inf)
+    ||A v - b||_inf <= CONTRACT_TOL * (1 + ||b||_inf)
 
 after every sweep, from the products N x the sweeps compute anyway, and
 stops at the first sweep that meets it; a splitting that misses it within
@@ -30,6 +30,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+# The residual contract's tolerance.  Fixed, so no caller can loosen or
+# switch off the check: policy iteration's monotonicity rests on it.
+CONTRACT_TOL = 1e-10
 # Sweeps a splitting solve may take before it falls back to sparse LU.  At
 # the reference parameters on the 101-alpha grid a solve took at most 8
 # sweeps at dt*(lambda_a + lambda_b) = 0.1, 52 at 2 and 412 at 20.
@@ -62,8 +65,8 @@ class SolveReport:
     residual_norm: float
 
 
-def _contract_bound(rhs: np.ndarray, tol: float) -> float:
-    return tol * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+def _contract_bound(rhs: np.ndarray) -> float:
+    return CONTRACT_TOL * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
 
 
 def _checked(matrix) -> sp.csr_matrix:
@@ -87,7 +90,7 @@ def _checked_rhs(shape, rhs) -> np.ndarray:
     return rhs
 
 
-def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
+def solve(matrix, rhs: np.ndarray) -> SolveReport:
     """Solve ``matrix @ v = rhs`` by sparse LU to the residual contract.
 
     Raises SingularSystemError for a zero diagonal entry or an exactly
@@ -103,9 +106,9 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-10) -> SolveReport:
     r = np.abs(matrix @ v - rhs)
     row = int(np.argmax(r)) if r.size else None
     res = float(r[row]) if r.size else 0.0
-    if res > _contract_bound(rhs, tol):
+    if res > _contract_bound(rhs):
         raise SolveError(
-            f"direct solve missed ||Av-b||_inf <= {tol}*(1+||b||_inf): "
+            f"direct solve missed ||Av-b||_inf <= {CONTRACT_TOL}*(1+||b||_inf): "
             f"residual {res:.3e} at row {row}",
             best_iterate=v, residual_norm=res, row=row,
         )
@@ -222,7 +225,7 @@ class Splitting:
         r[:-1] += sup[:-1] * x[1:]
         return float(np.max(np.abs(r), initial=0.0))
 
-    def solve(self, rhs: np.ndarray, tol: float = 1e-10, x0=None) -> SolveReport:
+    def solve(self, rhs: np.ndarray, x0=None) -> SolveReport:
         """Solve ``A @ v = rhs`` by sweeps from ``x0`` (default zero).
 
         After sweep k the residual A x_k - rhs is N x_{k-1} - N x_k, from
@@ -241,7 +244,7 @@ class Splitting:
         """
         rhs = _checked_rhs(self.n_part.shape, rhs)
         x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
-        bound = _contract_bound(rhs, tol)
+        bound = _contract_bound(rhs)
         budget = 0 if self._lu is None else SWEEP_BUDGET
         lift, nx = self._lift(rhs), self.n_part @ x
         sweeps = 0
@@ -260,4 +263,4 @@ class Splitting:
                                        iterations=sweeps, residual_norm=res)
             elif not np.isfinite(estimate):  # the sweeps diverged
                 break
-        return replace(solve(self.matrix(), rhs, tol), iterations=sweeps)
+        return replace(solve(self.matrix(), rhs), iterations=sweeps)

@@ -12,7 +12,8 @@ the sweeps of a regular splitting started from a subsolution stay
 subsolutions, and the argmax at a subsolution has a nonnegative residual:
 every evaluation starts from a subsolution of the improved policy's system.
 The iterates are then entrywise nondecreasing, and the iteration converges;
-monotonicity is asserted at verification level ``per-step`` and above.
+at verification level ``per-step`` monotonicity is asserted at every step
+and complementarity at every stop on the relative change.
 
 Every row of A(P) is one of the grid's row types, which are split once per
 grid into band pieces and a table of N's rows, and checked once for
@@ -52,7 +53,7 @@ MARGIN_TOL = 1e-10
 # not (diag 1, row sum 0).
 NONPOSITIVE_DIAG, POS_OFF_BOUNDARY, POS_OFF_OTHER, BAD_IMPULSE = 1, 2, 4, 8
 
-VERIFICATION_LEVELS = ("off", "per-step", "exhaustive")
+VERIFICATION_LEVELS = ("off", "per-step")
 PHASES = ("improve", "load", "solve")
 
 
@@ -74,22 +75,20 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiterConfig:
-    """Stopping rule and safeguards for one policy-iteration call."""
+    """Verification level of one policy-iteration call: ``per-step`` raises
+    on a hard verification failure, a decreasing iterate or a metric stop
+    that misses complementarity; ``off`` on none of them.  The stopping rule
+    is fixed, so no input can loosen a stop or a check: ``tol`` bounds the
+    relative change of a metric stop, ``max_iter`` the solves and single
+    sweeps of one call, and ``solver_tol`` mirrors ``linsolve.CONTRACT_TOL``,
+    the unit of the monotonicity and complementarity checks."""
 
-    tol: float = 1e-8
-    # full solves and single-sweep steps of one call together
-    max_iter: int = 200
     verification: str = "per-step"
-    # every solve's residual contract, and the unit of the monotonicity and
-    # complementarity checks: fixed, so no setting can switch them off
-    solver_tol: ClassVar[float] = 1e-10
+    tol: ClassVar[float] = 1e-8
+    max_iter: ClassVar[int] = 200
+    solver_tol: ClassVar[float] = linsolve.CONTRACT_TOL
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0 and np.isfinite(self.tol)):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int)
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.verification not in VERIFICATION_LEVELS:
             raise ValueError(
                 f"verification must be one of {VERIFICATION_LEVELS}, got {self.verification!r}"
@@ -383,8 +382,8 @@ def iterate(
     Returns the converged value vector, the policy whose system it solves,
     and the iteration trace.  Raises PolicyIterationError when
     ``cfg.max_iter`` solves and single sweeps have not converged, or (at
-    verification per-step and above) when an iterate decreases by more than
-    10x the solver tolerance.
+    verification per-step) when an iterate decreases by more than 10x the
+    solver tolerance or a metric stop misses complementarity.
 
     The first policy is solved to the residual contract.  After that, an
     improvement that changes the policy is followed by one splitting sweep
@@ -402,8 +401,8 @@ def iterate(
     rows of the entry in ``cache`` reuses its report and splitting; any
     other gathers its changed rows from the cache's per-grid tables.  Every
     step gathers its right side from them, and every improvement reads the
-    cache's ``scheme.StepTables``.  At verification per-step and above, every
-    step raises VerificationError when its report has a hard failure.  A
+    cache's ``scheme.StepTables``.  At verification per-step, every step
+    raises VerificationError when its report has a hard failure.  A
     solve whose sweeps miss the residual contract within
     ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
     successive calls to carry the split row types and the splitting across
@@ -433,7 +432,7 @@ def iterate(
             rhs = cache.rhs(v_next)
         started = clock()
         if exact:
-            report = cache.split.solve(rhs, cfg.solver_tol, v)
+            report = cache.split.solve(rhs, v)
             v_new = report.solution
         else:
             v_new = cache.split.sweep(v, rhs)
@@ -460,7 +459,7 @@ def iterate(
         v = v_new
         if exact and improved and metric < cfg.tol:
             trace.converged_by = "metric"
-            if cfg.verification == "exhaustive":
+            if verify:
                 _check_complementarity(cache.step, v, v_next, cfg)
             return v, policy, trace
 

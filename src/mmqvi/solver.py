@@ -88,10 +88,12 @@ class Solution:
 
     def value_at(self, n: int, alpha: float, q: int) -> float:
         """Surface value at time level n, linear in alpha between nodes;
-        raises ValueError for a level outside 0..N and for an inventory that
-        is not integral or outside [-q_bar, q_bar]."""
+        raises ValueError for a level outside 0..N, a non-finite alpha and an
+        inventory that is not integral or outside [-q_bar, q_bar]."""
         if not 0 <= n < len(self.surfaces):
             raise ValueError(f"time level {n} outside 0..{len(self.surfaces) - 1}")
+        if not np.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
         g = self.grid
         jj = inventory_units(q) + g.qs[-1]
         if not 0 <= jj < g.n_q:
@@ -133,10 +135,10 @@ def solve_backward(
     continuation rows, a subsolution of its system at level n.
 
     A PolicyIterationError, VerificationError or SolveError raised while
-    solving a level is raised again with the time level in its message, its
-    type and payload unchanged.  ``metadata["per_level"]`` records each
-    level's policy iteration, its ``sweeps`` counting those of the full
-    solves and the ``sweep_steps`` (single-sweep steps) alike, and
+    solving a level is raised on, the same object with the time level put
+    in front of its message.  ``metadata["per_level"]`` records each level's
+    policy iteration, its ``sweeps`` counting those of the full solves and
+    the ``sweep_steps`` (single-sweep steps) alike, and
     ``metadata["phase_s"]`` the seconds all levels spent in improvement, in
     ``SystemCache.load`` and in the sweeps and solves.
     """
@@ -170,13 +172,9 @@ def solve_backward(
         v_after = v
         try:
             v, policy, trace = iterate(cache, start, v, piter, policy)
-        except PolicyIterationError as exc:
-            raise PolicyIterationError(f"time level {n}: {exc}", exc.trace) from exc
-        except VerificationError as exc:
-            raise VerificationError(f"time level {n}: {exc}", exc.report) from exc
-        except SolveError as exc:
-            raise type(exc)(f"time level {n}: {exc}", exc.best_iterate,
-                            exc.residual_norm, exc.row) from exc
+        except (PolicyIterationError, VerificationError, SolveError) as exc:
+            exc.args = (f"time level {n}: {exc}",)
+            raise
         _check_envelope(p, grid, n, v)
         surfaces[n] = ValueSurface(n, grid.times[n], v)
         policies[n] = policy
@@ -329,10 +327,13 @@ def refinement_table(
 ) -> RefinementResult:
     """Solve on ``rounds + 1`` nested grids and tabulate t = 0 probe values.
 
-    Probe alphas must be nodes of the base grid (they then stay nodes on
-    every refinement); probe inventories must be integers in [-q_bar, q_bar].
-    Both are checked before any round is solved.
+    ``rounds`` must be an integer >= 1.  Probe alphas must be nodes of the
+    base grid (they then stay nodes on every refinement); probe inventories
+    must be integers in [-q_bar, q_bar].  All are checked before any round
+    is solved.
     """
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     specs = [base_spec]
     for _ in range(rounds):
         specs.append(refine_spec(specs[-1]))

@@ -65,11 +65,11 @@ def splitting_of(matrix) -> Splitting:
     return Splitting(band, n_part)
 
 
-def first_sweep_meeting(split, rhs, x0, tol) -> int | None:
+def first_sweep_meeting(split, rhs, x0) -> int | None:
     """The first of plain ``split.sweep`` calls from ``x0`` after which the
-    full residual meets the contract ||A x - rhs||_inf <= tol * (1 +
-    ||rhs||_inf) on A = M - N; None when none within the sweep budget."""
-    bound = tol * (1.0 + float(np.abs(rhs).max()))
+    full residual meets the contract ||A x - rhs||_inf <= CONTRACT_TOL * (1
+    + ||rhs||_inf) on A = M - N; None when none within the sweep budget."""
+    bound = mmqvi.linsolve.CONTRACT_TOL * (1.0 + float(np.abs(rhs).max()))
     x = x0
     for sweeps in range(1, mmqvi.linsolve.SWEEP_BUDGET + 1):
         x = split.sweep(x, rhs)
@@ -86,11 +86,11 @@ def stops_checked(monkeypatch):
     checked = []
     real_solve = Splitting.solve
 
-    def checking_solve(self, rhs, tol=1e-10, x0=None):
-        report = real_solve(self, rhs, tol, x0)
+    def checking_solve(self, rhs, x0=None):
+        report = real_solve(self, rhs, x0)
         if report.method == "splitting":
             start = np.zeros_like(rhs) if x0 is None else x0
-            assert report.iterations == first_sweep_meeting(self, rhs, start, tol)
+            assert report.iterations == first_sweep_meeting(self, rhs, start)
             checked.append(report.iterations)
         return report
 

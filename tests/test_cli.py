@@ -138,8 +138,6 @@ def test_run_key_values_are_validated(tiny_config):
         build_run_config({**raw, "mc_q0": "7"}, {})
     with pytest.raises(ConfigError, match="bad value for key k"):
         build_run_config({**raw, "k": "fast"}, {})
-    with pytest.raises(ConfigError, match="piter_tol|tol"):
-        build_run_config({**raw, "piter_tol": "-1"}, {})
 
 
 def test_model_errors_surface_as_config_errors(tiny_config):
@@ -329,9 +327,25 @@ def test_non_finite_values_are_config_errors_before_any_solve(
 
 
 def test_unknown_mode_flag_is_rejected_by_argparse():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["--mode", "simulate"])
-    assert exc_info.value.code == 2
+    # --verify offers off and per-step only
+    for argv in (["--mode", "simulate"], ["--verify", "exhaustive"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["piter_tol = 1e300", "piter_max_iter = 1",
+                                  "verify = exhaustive"])
+def test_the_numerical_contract_is_not_a_config_setting(tmp_path, caplog, line):
+    # piter_tol = 1e300 once put the reference t = 0 surface 7.9e-8 off
+    path = tmp_path / "loose.cfg"
+    path.write_text(TINY_CONFIG + line + "\n")
+    with caplog.at_level(logging.ERROR):
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    key = line.split(" = ")[0]
+    message = "bad value for key verify" if key == "verify" else f"unknown key: {key}"
+    assert any(message in rec.message for rec in caplog.records)
+    assert not (tmp_path / "out").exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

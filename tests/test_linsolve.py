@@ -56,10 +56,10 @@ def test_factorization_solves_many_right_hand_sides():
     for _ in range(4):
         v_true = rng.normal(size=150)
         b = a @ v_true
-        report = split.solve(b, tol=1e-10)
+        report = split.solve(b)
         assert report.method == "splitting"
         # it stops at the first sweep whose full residual meets the contract
-        assert report.iterations == first_sweep_meeting(split, b, np.zeros(150), 1e-10)
+        assert report.iterations == first_sweep_meeting(split, b, np.zeros(150))
         assert abs(report.residual_norm - residual_norm(a, b, report.solution)) <= (
             residual_rounding(a, b, report.solution)
         )
@@ -155,13 +155,14 @@ def test_exactly_singular_matrix():
         splitting_of(a3).solve(np.array([1.0, -0.01, 0.0]))
 
 
-def test_iterative_failure_carries_best_iterate():
+def test_iterative_failure_carries_best_iterate(monkeypatch):
     # no solve meets a contract this tight: the sweeps run out, the LU
     # fallback misses too, and the error names the row of the largest residual
     a, v_true = random_dominant_system(60, seed=3)
     b = a @ v_true
+    monkeypatch.setattr(mmqvi.linsolve, "CONTRACT_TOL", 1e-300)
     with pytest.raises(SolveError, match="residual .* at row") as exc_info:
-        splitting_of(a).solve(b, tol=1e-300)
+        splitting_of(a).solve(b)
     err = exc_info.value
     assert err.best_iterate is not None
     assert err.residual_norm > 0.0
@@ -169,3 +170,13 @@ def test_iterative_failure_carries_best_iterate():
     assert err.row == int(np.argmax(r)) and err.residual_norm == r[err.row]
     assert f"at row {err.row}" in str(err)
 
+
+
+def test_no_caller_can_pass_a_solve_tolerance():
+    # a nan tolerance once switched the residual contract off
+    a, v_true = random_dominant_system(20, seed=4)
+    b = a @ v_true
+    with pytest.raises(TypeError, match="tol"):
+        mmqvi.solve(a, b, tol=float("nan"))
+    with pytest.raises(TypeError, match="tol"):
+        splitting_of(a).solve(b, tol=float("nan"))

@@ -1,5 +1,7 @@
 """Policy iteration: improvement, verification, and stopping behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,20 +49,16 @@ def cycle_policy(grid):
 
 
 def test_piter_config_validation():
-    with pytest.raises(ValueError, match="tol"):
-        PiterConfig(tol=0.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be finite"):
-            PiterConfig(tol=bad)
-    for bad in (0, True):
-        with pytest.raises(ValueError, match="max_iter"):
-            PiterConfig(max_iter=bad)
-    with pytest.raises(ValueError, match="verification"):
-        PiterConfig(verification="always")
-    # solver_tol is a constant: a nan contract would switch off the residual
-    # and monotonicity checks
-    with pytest.raises(TypeError, match="solver_tol"):
-        PiterConfig(solver_tol=float("nan"))
+    for bad in ("always", "exhaustive"):
+        with pytest.raises(ValueError, match="verification"):
+            PiterConfig(verification=bad)
+    # the stopping rule and the contract are constants: a huge tol returns a
+    # loose surface without an error, and a nan one switches a check off
+    assert [f.name for f in dataclasses.fields(PiterConfig)] == ["verification"]
+    for name in ("tol", "max_iter", "solver_tol"):
+        with pytest.raises(TypeError, match=name):
+            PiterConfig(**{name: float("nan")})
+    assert PiterConfig.solver_tol == mmqvi.linsolve.CONTRACT_TOL
 
 
 def test_stopping_metric_is_relative_with_absolute_floor():
@@ -86,15 +84,11 @@ def test_iterate_converges_on_the_toy_step(toy_grid, toy_params, toy_stencils):
     np.testing.assert_allclose(v2, v, rtol=0, atol=1e-9)
 
 
-def test_iterate_exhausts_budget(toy_grid, toy_params, toy_stencils):
+def test_iterate_exhausts_budget(toy_grid, toy_params, toy_stencils, monkeypatch):
+    monkeypatch.setattr(PiterConfig, "max_iter", 1)
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(PolicyIterationError, match="no convergence") as exc_info:
-        iterate(
-            SystemCache(toy_grid, toy_params, toy_stencils),
-            v_next,
-            v_next,
-            PiterConfig(max_iter=1),
-        )
+        iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
     assert exc_info.value.trace.iterations == 1
 
 
@@ -112,14 +106,17 @@ def test_a_decreasing_iterate_names_its_node(
         iterate(SystemCache(toy_grid, toy_params, toy_stencils), v0, v_next)
 
 
-def test_iterate_exhaustive_verification(toy_grid, toy_params, toy_stencils):
+def test_a_metric_stop_checks_complementarity(toy_grid, toy_params, toy_stencils,
+                                              monkeypatch):
+    # a stop on the relative change right after the first solve, whose
+    # policy is not yet the argmax at its solution
+    monkeypatch.setattr(mmqvi.policy_iteration, "_stopping_metric", lambda *a: 0.0)
     v_next = terminal_vector(toy_grid, toy_params)
-    v, _, _ = iterate(
-        SystemCache(toy_grid, toy_params, toy_stencils),
-        v_next,
-        v_next,
-        PiterConfig(verification="exhaustive"),
-    )
+    with pytest.raises(PolicyIterationError, match="complementarity residual"):
+        iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
+    v, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next,
+                          PiterConfig(verification="off"))
+    assert trace.converged_by == "metric" and trace.iterations == 1
     assert np.isfinite(v).all()
 
 

@@ -1,7 +1,7 @@
 """Whole backward solves on random small clamp-mode problems: the stability
-envelope, monotone policy iteration, complementarity at exhaustive
-verification, reflection symmetry of symmetric models, and one admissible
-byte per node for every level's policy."""
+envelope, monotone policy iteration, complementarity at every level,
+reflection symmetry of symmetric models, and one admissible byte per node
+for every level's policy."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
-from mmqvi import GridSpec, PiterConfig, solve_backward, stability_bounds  # noqa: E402
+from mmqvi import (  # noqa: E402
+    GridSpec, PiterConfig, build_stencils, solve_backward, stability_bounds,
+)
+from mmqvi.policy_iteration import _check_complementarity  # noqa: E402
+from mmqvi.scheme import StepTables  # noqa: E402
 
 from conftest import quiet_params  # noqa: E402
 
@@ -64,19 +68,24 @@ def pinned(spec, **fields):
                 sigma=1.0, q_bar=1, alpha_cap=17.0, T=3.0))
 def test_random_solves_keep_the_solver_invariants(case):
     p, spec, symmetric = case
-    cfg = PiterConfig(verification="exhaustive")
     # raises on a hard verification failure, an iterate that decreases by
-    # more than 10x the solver tolerance, a complementarity residual above
-    # its bound, or a level outside the envelope
-    sol = solve_backward(p, spec, piter=cfg)
+    # more than 10x the solver tolerance, a metric stop whose
+    # complementarity residual exceeds its bound, or a level outside the
+    # envelope
+    sol = solve_backward(p, spec)
     levels = sol.metadata["per_level"]
-    event("complementarity checked" if any(e["converged_by"] == "metric" for e in levels)
+    event("a level stopped on the metric" if any(e["converged_by"] == "metric" for e in levels)
           else "every level stopped on a repeated policy")
+    # every level, whatever its stop, solves the step's complementarity
+    # problem: its scheme.residual is within _check_complementarity's bound
+    tables = StepTables(sol.grid, p, build_stencils(sol.grid, p, "clamp"))
+    for later, surface in zip(sol.surfaces[1:], sol.surfaces):
+        _check_complementarity(tables, surface.values, later.values, PiterConfig())
 
     for surface in sol.surfaces:
         lo, hi = stability_bounds(p, surface.t)
         assert lo - 1e-8 <= surface.values.min() and surface.values.max() <= hi + 1e-8
-    assert min(e["min_increment"] for e in levels) >= -10.0 * cfg.solver_tol
+    assert min(e["min_increment"] for e in levels) >= -10.0 * PiterConfig.solver_tol
     # every level's policy is one admissible byte per node
     for pol in sol.policies:
         assert pol.code.dtype == np.uint8 and pol.code.nbytes == sol.grid.n_nodes

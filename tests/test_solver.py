@@ -108,9 +108,10 @@ def test_reused_factorizations_reproduce_fresh_solves(params6, stops_checked):
     assert unverified.metadata["per_level"] == levels
 
 
-def test_policy_iteration_failures_name_the_level(fast_params, fast_spec):
+def test_policy_iteration_failures_name_the_level(fast_params, fast_spec, monkeypatch):
+    monkeypatch.setattr(PiterConfig, "max_iter", 1)
     with pytest.raises(PolicyIterationError, match=r"^time level 49: no convergence") as exc_info:
-        solve_backward(fast_params, fast_spec, piter=PiterConfig(max_iter=1))
+        solve_backward(fast_params, fast_spec)
     assert exc_info.value.trace.iterations == 1
 
 
@@ -141,13 +142,27 @@ def test_solve_failures_name_the_level_and_row(toy_params, monkeypatch):
     # fallback misses, naming the row of its largest residual
     spec = GridSpec(3, 3, toy_params.alpha_cap, toy_params.q_bar)
     pattern = r"^time level \d: direct solve missed .* at row \d+$"
-    monkeypatch.setattr(PiterConfig, "solver_tol", 1e-300)
+    monkeypatch.setattr(mmqvi.linsolve, "CONTRACT_TOL", 1e-300)
     with pytest.raises(SolveError, match=pattern) as exc_info:
         solve_backward(toy_params, spec)
     err = exc_info.value
     assert type(err) is SolveError
     assert err.best_iterate is not None and err.residual_norm > 0.0
     assert str(err).endswith(f"at row {err.row}")
+
+
+def test_a_level_failure_is_raised_on_as_the_same_object(toy_params, monkeypatch):
+    failure = SolveError("no luck", best_iterate=np.zeros(1), residual_norm=1.0, row=0)
+
+    def failing_iterate(*args):
+        raise failure
+
+    monkeypatch.setattr(mmqvi.solver, "iterate", failing_iterate)
+    with pytest.raises(SolveError) as exc_info:
+        solve_backward(toy_params, GridSpec(3, 3, toy_params.alpha_cap, toy_params.q_bar))
+    assert exc_info.value is failure and str(failure) == "time level 2: no luck"
+    assert exc_info.value.row == 0 and exc_info.value.__cause__ is None
+    assert exc_info.traceback[-1].name == "failing_iterate"
 
 
 def test_solution_stays_inside_the_stability_envelope(fast_sol, fast_params):
@@ -168,6 +183,10 @@ def test_value_at_interpolates_linearly(fast_sol):
     )
     with pytest.raises(ValueError, match="inventory"):
         fast_sol.value_at(0, 0.0, 3)
+    # nan once failed converting to an index and +-inf read a cap node
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            fast_sol.value_at(0, alpha, 0)
 
 
 def test_value_at_rejects_a_fractional_inventory(fast_sol):
@@ -296,6 +315,15 @@ def test_refinement_probe_inventories_are_checked_first(toy_params, toy_spec, q,
     monkeypatch.setattr(mmqvi.solver, "solve_backward", None)
     with pytest.raises(ValueError, match=message):
         refinement_table(toy_params, toy_spec, [0.0], [0, q], rounds=1)
+
+
+@pytest.mark.parametrize("rounds", [0, -1, True, 1.0])
+def test_refinement_rounds_are_checked_first(toy_params, toy_spec, rounds, monkeypatch):
+    # 0 and -1 once returned a one-row table with no differences, and True
+    # ran one round
+    monkeypatch.setattr(mmqvi.solver, "solve_backward", None)
+    with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+        refinement_table(toy_params, toy_spec, [0.0], [0], rounds=rounds)
 
 
 def test_refinement_table_shapes(toy_params, toy_spec):

@@ -98,7 +98,7 @@ def test_sweeps_rise_from_a_subsolution_to_the_lu_solution(case):
         assert (x_new - x).min() >= -10.0 * TOL
         x = x_new
 
-    report = split.solve(b, TOL, x0)
+    report = split.solve(b, x0)
     assert report.method == "splitting"
     assert (report.solution - x0).min() >= -10.0 * TOL
     assert abs(report.residual_norm - residual_norm(a, b, report.solution)) <= (
@@ -139,12 +139,12 @@ def test_gathered_closed_sweeps_rise_to_the_lu_solution(case):
         assert np.abs(r[system.impulse_mask]).max() <= residual_rounding(a, b, x_new)
         x = x_new
 
-    report = split.solve(b, TOL, x0)
+    report = split.solve(b, x0)
     assert report.method == "splitting"
     # closing the chains moves the residual next to each chain start, and
     # the solve still stops at the first sweep whose full residual meets
     # the contract
-    assert report.iterations == first_sweep_meeting(split, b, x0, TOL)
+    assert report.iterations == first_sweep_meeting(split, b, x0)
     assert (report.solution - x0).min() >= -10.0 * TOL
     assert residual_norm(a, b, report.solution) <= TOL * (1.0 + np.abs(b).max())
     assert split_match_ratio(report.solution, exact, b) <= SPLIT_MATCH_FACTOR
@@ -162,9 +162,9 @@ def test_each_solve_starts_from_a_subsolution_above_the_last(fast_params, fast_s
         levels.append([])
         return real_iterate(*args, **kwargs)
 
-    def recording_solve(self, rhs, tol=1e-10, x0=None):
+    def recording_solve(self, rhs, x0=None):
         excess = float((self.matrix() @ x0 - rhs).max())
-        report = real_solve(self, rhs, tol, x0)
+        report = real_solve(self, rhs, x0)
         levels[-1].append((x0.copy(), excess / (1.0 + np.abs(rhs).max()), report.solution))
         return report
 
