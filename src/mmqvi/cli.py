@@ -132,7 +132,14 @@ def _convert(key: str, value: str):
 def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
     """Assemble a validated run config from file keys plus flag overrides:
     each run setting is its override unless that is None, else its file
-    value, else its ``RUN_DEFAULTS`` entry."""
+    value, else its ``RUN_DEFAULTS`` entry.  A file key outside
+    ``CONFIG_KEYS`` or an override outside ``RUN_DEFAULTS`` is an error."""
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key: {key}")
+    for key in overrides:
+        if key not in RUN_DEFAULTS:
+            raise ConfigError(f"unknown run setting: {key}")
     if raw:
         for key in (*MODEL_KEYS, *GRID_KEYS):
             if key not in raw:
@@ -333,7 +340,8 @@ def main(argv=None) -> int:
     parser.add_argument("--paths", dest="n_paths", type=int, help="Monte Carlo path count")
     parser.add_argument("--extrapolation", choices=MODES)
     parser.add_argument("--verify", choices=VERIFICATION_LEVELS)
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    config = flags.pop("config")
 
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
@@ -341,13 +349,13 @@ def main(argv=None) -> int:
 
     try:
         raw: dict[str, str] = {}
-        if args.config is not None:
-            if not args.config.is_file():
-                raise ConfigError(f"config file not found: {args.config}")
-            raw = parse_config_text(
-                args.config.read_text(), source=str(args.config)
-            )
-        cfg = build_run_config(raw, vars(args))
+        if config is not None:
+            if not config.is_file():
+                raise ConfigError(f"config file not found: {config}")
+            raw = parse_config_text(config.read_text(), source=str(config))
+        cfg = build_run_config(
+            raw, {key: value for key, value in flags.items() if value is not None}
+        )
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

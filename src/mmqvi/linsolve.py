@@ -16,7 +16,10 @@ Every solve is verified against the residual contract
 
 after every sweep, from the products N x the sweeps compute anyway, and
 stops at the first sweep that meets it; a splitting that misses it within
-``SWEEP_BUDGET`` sweeps falls back to ``solve``, a sparse LU.  Failures
+``SWEEP_BUDGET`` sweeps falls back to ``solve``, a sparse LU.  SciPy's
+sparse LU loads on the first fallback in a process, not with this module:
+the load costs about 13 ms and 2 MB of peak memory, which a process whose
+solves all meet the contract by sweeps never pays.  Failures
 raise with the best iterate and the row of the largest residual attached
 rather than returning silently wrong values.
 """
@@ -27,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 # The residual contract's tolerance.  Fixed, so no caller can loosen or
@@ -93,12 +95,19 @@ def _checked_rhs(shape, rhs) -> np.ndarray:
 def solve(matrix, rhs: np.ndarray) -> SolveReport:
     """Solve ``matrix @ v = rhs`` by sparse LU to the residual contract.
 
-    Raises SingularSystemError for a zero diagonal entry or an exactly
-    singular matrix, and SolveError, naming the row of the largest residual,
-    when the solution misses the contract.
+    The first call in a process loads ``scipy.sparse.linalg`` (about 13 ms
+    and 2 MB of peak memory).  Raises SingularSystemError for a zero
+    diagonal entry or an exactly singular matrix, and SolveError, naming the
+    row of the largest residual, when the solution misses the contract.
     """
     matrix = _checked(matrix)
     rhs = _checked_rhs(matrix.shape, rhs)
+    # loading scipy.sparse.linalg costs a process about 13 ms and 2 MB of
+    # peak memory, which solves that never fall back should not pay, so it
+    # loads here; ``splu`` is read off the module at each call, so a patch of
+    # the module's name (as a tracer makes) is seen
+    import scipy.sparse.linalg as spla
+
     try:
         v = spla.splu(matrix.tocsc()).solve(rhs)
     except RuntimeError as exc:  # splu signals exact singularity this way

@@ -140,6 +140,29 @@ def test_run_key_values_are_validated(tiny_config):
         build_run_config({**raw, "k": "fast"}, {})
 
 
+def test_keys_outside_the_settings_are_rejected(tiny_config):
+    # a raw dict built without parse_config_text once passed these through
+    raw = parse_config_text(tiny_config.read_text())
+    for key, value in (("nonsense", "x"), ("piter_tol", "1e300")):
+        with pytest.raises(ConfigError, match=f"unknown key: {key}"):
+            build_run_config({**raw, key: value}, {})
+    for key, value in (("piter_max_iter", 1), ("config", None), ("T", 1.0)):
+        with pytest.raises(ConfigError, match=f"unknown run setting: {key}"):
+            build_run_config(raw, {key: value})
+
+
+def test_main_passes_only_the_run_settings_its_flags_set(monkeypatch, tmp_path):
+    seen = []
+
+    def capture(raw, overrides):
+        seen.append(overrides)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr("mmqvi.cli.build_run_config", capture)
+    assert main(["--seed", "3", "--out", str(tmp_path)]) == 2
+    assert seen == [{"seed": 3, "out_dir": tmp_path}]
+
+
 def test_model_errors_surface_as_config_errors(tiny_config):
     raw = parse_config_text(tiny_config.read_text())
     with pytest.raises(ConfigError, match="sigma"):

@@ -1,8 +1,15 @@
 """Linear solves, splitting and sparse LU, and their residual contract."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import mmqvi.linsolve
 from conftest import first_sweep_meeting, residual_norm, residual_rounding, splitting_of
@@ -82,15 +89,66 @@ def test_splitting_separates_the_band_from_the_rest():
 
 
 def test_splitting_falls_back_to_lu_after_its_budget(monkeypatch):
+    # a tracer wraps linsolve.solve and scipy.sparse.linalg.splu the same
+    # way; a splu name bound when linsolve loads would escape the patch
     a, v_true = random_dominant_system(150, seed=2)
-    calls = []
+    calls, factored = [], []
+    splu = scipy.sparse.linalg.splu
     monkeypatch.setattr(mmqvi.linsolve, "SWEEP_BUDGET", 8)
     monkeypatch.setattr(mmqvi.linsolve, "solve", lambda *args: calls.append(1) or solve(*args))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
     report = splitting_of(a).solve(a @ v_true)
-    assert calls == [1]
+    assert calls == [1] and factored == [1]
     assert report.method == "direct-lu" and report.iterations == 8
     assert report.residual_norm <= 1e-10 * (1.0 + np.abs(a @ v_true).max())
     np.testing.assert_allclose(report.solution, v_true, rtol=0, atol=1e-8)
+
+
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+import numpy as np
+import scipy.sparse as sp
+import mmqvi
+from mmqvi import GridSpec, default_params, estimate_performance, solve_backward
+seen = {"import": "scipy.sparse.linalg" in sys.modules}
+p = default_params()
+sol = solve_backward(p, GridSpec(20, 21, 300.0, 4))
+seen["solve"] = "scipy.sparse.linalg" in sys.modules
+seen["special_before_replay"] = "scipy.special" in sys.modules
+seen["fallbacks"] = sum(e["fallbacks"] for e in sol.metadata["per_level"])
+estimate_performance(p, sol, (0.0, 100.0, 0.0, 0), 500, seed=1)
+seen["replay"] = "scipy.sparse.linalg" in sys.modules
+a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+b = np.array([1.0, 0.0, 1.0])
+report = mmqvi.solve(a, b)
+seen["fallback"] = "scipy.sparse.linalg" in sys.modules
+seen["method"] = report.method
+seen["residual"] = float(np.max(np.abs(a @ report.solution - b)))
+seen["bound"] = mmqvi.linsolve.CONTRACT_TOL * (1.0 + float(np.max(np.abs(b))))
+try:
+    mmqvi.solve(sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])), np.ones(2))
+except mmqvi.SingularSystemError:
+    seen["singular"] = "SingularSystemError"
+print(json.dumps(seen))
+"""
+
+
+def test_sparse_lu_loads_on_the_first_fallback():
+    # a fresh interpreter: this one loaded scipy.sparse.linalg at its imports
+    src = str(Path(mmqvi.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["fallbacks"] == 0
+    assert not seen["import"] and not seen["solve"] and not seen["replay"]
+    assert not seen["special_before_replay"]
+    assert seen["fallback"] and seen["method"] == "direct-lu"
+    assert seen["residual"] <= seen["bound"]
+    assert seen.get("singular") == "SingularSystemError"
 
 
 def test_diverging_sweeps_end_early_in_the_lu_fallback():
