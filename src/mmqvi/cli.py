@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import MODES, Grid, GridSpec, build_grid
+from .grid import Grid, GridSpec, build_grid
 from .linsolve import SolveError
 from .model import ModelParams
 from .montecarlo import estimate_performance
@@ -65,7 +65,6 @@ RUN_DEFAULTS = {
     "out_dir": ".",
     "seed": 7,
     "n_paths": 10_000,
-    "extrapolation": "clamp",
     "verify": PiterConfig.verification,
     "refine_rounds": 3,
     "mc_x0": 0.0,
@@ -75,7 +74,7 @@ RUN_DEFAULTS = {
 }
 RUN_KEYS = {key: type(default) for key, default in RUN_DEFAULTS.items()}
 CONFIG_KEYS = MODEL_KEYS | GRID_KEYS | RUN_KEYS
-RUN_CHOICES = {"mode": RUN_MODES, "extrapolation": MODES, "verify": VERIFICATION_LEVELS}
+RUN_CHOICES = {"mode": RUN_MODES, "verify": VERIFICATION_LEVELS}
 
 
 class ConfigError(ValueError):
@@ -87,7 +86,6 @@ class RunConfig:
     params: ModelParams
     spec: GridSpec
     piter: PiterConfig
-    extrapolation: str
     mode: str
     out_dir: Path
     seed: int
@@ -185,7 +183,6 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
         params=params,
         spec=spec,
         piter=PiterConfig(verification=run["verify"]),
-        extrapolation=run["extrapolation"],
         mode=run["mode"],
         out_dir=Path(run["out_dir"]),
         seed=run["seed"],
@@ -216,9 +213,7 @@ def write_policy_csv(path: Path, grid: Grid, policy: Policy) -> None:
 
 
 def _solve(cfg: RunConfig):
-    sol = solve_backward(
-        cfg.params, cfg.spec, mode=cfg.extrapolation, piter=cfg.piter
-    )
+    sol = solve_backward(cfg.params, cfg.spec, piter=cfg.piter)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     value_path = cfg.out_dir / "value_t0.csv"
     policy_path = cfg.out_dir / "policy_t0.csv"
@@ -283,7 +278,7 @@ def _run_refine(cfg: RunConfig) -> int:
     probe_alphas, probe_qs = _default_probes(cfg)
     result = refinement_table(
         cfg.params, cfg.spec, probe_alphas, probe_qs,
-        rounds=cfg.refine_rounds, mode=cfg.extrapolation, piter=cfg.piter,
+        rounds=cfg.refine_rounds, piter=cfg.piter,
     )
     header = ["round", "n_time_steps", "n_alpha_points"]
     header += [f"v(a={_fmt(a)},q={q})" for q in probe_qs for a in probe_alphas]
@@ -311,16 +306,12 @@ def _run_baseline(cfg: RunConfig) -> int:
     factor = explicit_cfl_factor(cfg.params, grid)
     log.info("explicit CFL factor: %s (stable stepping needs <= 1)", _fmt(factor))
     try:
-        explicit = solve_explicit_baseline(
-            cfg.params, cfg.spec, mode=cfg.extrapolation
-        )
+        explicit = solve_explicit_baseline(cfg.params, cfg.spec)
     except ExplicitInstabilityError as exc:
         log.info("explicit scheme unstable as expected: %s", exc)
         return 0
     log.info("explicit scheme stable; comparing against the implicit solve")
-    implicit = solve_backward(
-        cfg.params, cfg.spec, mode=cfg.extrapolation, piter=cfg.piter
-    )
+    implicit = solve_backward(cfg.params, cfg.spec, piter=cfg.piter)
     gap = float(
         np.max(np.abs(explicit.surfaces[0].values - implicit.surfaces[0].values))
     )
@@ -338,7 +329,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="out_dir", type=Path, help="output directory")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--paths", dest="n_paths", type=int, help="Monte Carlo path count")
-    parser.add_argument("--extrapolation", choices=MODES)
     parser.add_argument("--verify", choices=VERIFICATION_LEVELS)
     flags = vars(parser.parse_args(argv))
     config = flags.pop("config")

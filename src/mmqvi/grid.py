@@ -10,11 +10,8 @@ Jump terms evaluate v at alpha +/- gamma, which generally falls between
 nodes.  A shift map writes that evaluation, for every alpha node at once, as
 a two-point convex combination of lattice values, degenerating to a pure
 index shift when gamma is an exact multiple of the alpha spacing.  Shift
-targets beyond the truncation cap are handled by one of two modes:
-
-* ``clamp``  - evaluate at the cap node (keeps all weights nonnegative),
-* ``paper``  - linear extrapolation from the two outermost nodes (exact on
-  linear surfaces but introduces one negative weight per affected row).
+targets beyond the truncation cap are clamped: evaluated at the cap node,
+which keeps every weight nonnegative.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from .model import ModelParams
 # index shift instead of a spurious two-point stencil.
 EXACT_SHIFT_TOL = 1e-12
 
-MODES = ("clamp", "paper")
+MODES = ("clamp",)
 
 
 @dataclass(frozen=True)
@@ -122,23 +119,21 @@ class StencilSet:
     ``up``/``down`` are n_alpha x n_alpha CSR maps: row i holds the lattice
     weights of v(alpha_i + gamma_a) and v(alpha_i - gamma_b) at fixed q, and
     every row sums to one.  ``boundary`` marks the alpha nodes where either
-    shift target left the lattice and took clamp or extrapolation treatment.
+    shift target left the lattice and was clamped to the cap node.
     """
 
-    mode: str
     up: sp.csr_matrix
     down: sp.csr_matrix
     boundary: np.ndarray
 
 
-def _shift_map(grid: Grid, gamma: float, direction: int, mode: str):
+def _shift_map(grid: Grid, gamma: float, direction: int):
     """Map of v(alpha_i + direction*gamma) onto lattice values, and the rows
     whose target left the lattice.
 
     A shift within EXACT_SHIFT_TOL of a multiple of d_alpha is a pure index
     shift, any other a two-point linear interpolation.  Off-lattice points
-    move to the cap node (clamp) or extrapolate linearly from the two
-    outermost nodes (paper); weights landing on one node add up.
+    move to the cap node, where weights landing on one node add up.
     """
     n = grid.n_alpha
     rows = np.arange(n)
@@ -151,23 +146,22 @@ def _shift_map(grid: Grid, gamma: float, direction: int, mode: str):
         raw = rows[:, None] + direction * np.array([fl, fl + 1])
         w = np.broadcast_to([1.0 - (m - fl), m - fl], raw.shape)
     near = np.clip(raw, 0, n - 1)
-    cols = near
-    if mode == "paper":
-        # v(i_max + e) ~ (1 + e) v(i_max) - e v(i_max - 1), likewise below 0
-        e = np.abs(raw - near)
-        cols = np.stack([near, np.where(raw > near, n - 2, 1)], axis=2)
-        w = np.stack([w * (1.0 + e), -w * e], axis=2)
     matrix = sp.coo_matrix(
-        (np.ravel(w), (np.repeat(rows, np.size(w) // n), np.ravel(cols))), shape=(n, n)
+        (np.ravel(w), (np.repeat(rows, np.size(w) // n), np.ravel(near))), shape=(n, n)
     ).tocsr()
     matrix.eliminate_zeros()
     return matrix, (raw != near).any(axis=1)
 
 
 def build_stencils(grid: Grid, p: ModelParams, mode: str = "clamp") -> StencilSet:
-    """Build the up/down shift maps of every alpha node."""
+    """Build the up/down shift maps of every alpha node.
+
+    ``mode`` accepts only ``"clamp"``, the one boundary treatment; any other
+    value raises ValueError.  The argument stays only because
+    ``perfbench/workloads.py`` still passes it.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    up, up_boundary = _shift_map(grid, p.gamma_a, +1, mode)
-    down, down_boundary = _shift_map(grid, p.gamma_b, -1, mode)
-    return StencilSet(mode=mode, up=up, down=down, boundary=up_boundary | down_boundary)
+    up, up_boundary = _shift_map(grid, p.gamma_a, +1)
+    down, down_boundary = _shift_map(grid, p.gamma_b, -1)
+    return StencilSet(up=up, down=down, boundary=up_boundary | down_boundary)

@@ -49,9 +49,8 @@ RELATIVE_FLOOR = 1e-12
 Z_TOL = 1e-12
 MARGIN_TOL = 1e-10
 # Failure flags of one row in ``_row_facts``: nonpositive diagonal, positive
-# off-diagonal on a boundary row or on any other row, impulse row that is
-# not (diag 1, row sum 0).
-NONPOSITIVE_DIAG, POS_OFF_BOUNDARY, POS_OFF_OTHER, BAD_IMPULSE = 1, 2, 4, 8
+# off-diagonal, impulse row that is not (diag 1, row sum 0).
+NONPOSITIVE_DIAG, POS_OFF, BAD_IMPULSE = 1, 2, 4
 
 VERIFICATION_LEVELS = ("off", "per-step")
 PHASES = ("improve", "load", "solve")
@@ -133,21 +132,14 @@ class VerificationReport:
 
     ``failing_node`` is the d = 1 node whose impulse chain ends nowhere (None
     when all end), the margins the smallest interior and boundary dominance
-    margins (inf for no such rows).  Each failed condition adds one message:
-    a tolerated degradation (paper-mode extrapolation rows) to ``findings``,
-    any other to ``hard_failures``, which make the solve unsound.
+    margins (inf for no such rows).  Each failed condition adds one message
+    to ``hard_failures``, which make the solve unsound.
     """
 
-    mode: str
     failing_node: int | None
     min_interior_margin: float
     min_boundary_margin: float
-    findings: list[str] = field(default_factory=list)
     hard_failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.hard_failures and not self.findings
 
     @property
     def sound(self) -> bool:
@@ -159,12 +151,12 @@ class SystemCache:
 
     The problem's ``scheme.row_types`` are split once (``linsolve.split``)
     into the ``band`` pieces, a 3 x n_row_types array, and ``n_types``, the
-    table of N's rows; ``facts`` are the ``_row_facts`` of the row types,
-    ``step`` the ``scheme.StepTables`` of improvement and right side and
-    ``mode`` the stencil mode.  No other copy of the row types is kept.  The
-    one entry is ``rows``, the ``policy_rows`` selection that fixes A(P),
-    with its verification ``report`` and ``split``, the
-    ``linsolve.Splitting`` of A(P), which later loads rewrite in place.
+    table of N's rows; ``facts`` are the ``_row_facts`` of the row types and
+    ``step`` the ``scheme.StepTables`` of improvement and right side.  No
+    other copy of the row types is kept.  The one entry is ``rows``, the
+    ``policy_rows`` selection that fixes A(P), with its verification
+    ``report`` and ``split``, the ``linsolve.Splitting`` of A(P), which
+    later loads rewrite in place.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
@@ -172,7 +164,7 @@ class SystemCache:
         impulse = np.arange(self.band.shape[1]) >= 4 * grid.n_nodes
         self.facts = _row_facts(_row_checks(self.band, self.n_types), impulse,
                                 np.tile(st.boundary, 6 * grid.n_q) & ~impulse)
-        self.step, self.mode = scheme.StepTables(grid, p, st), st.mode
+        self.step = scheme.StepTables(grid, p, st)
         self.rows = self.report = self.split = None
 
     def load(self, policy: Policy) -> str:
@@ -203,7 +195,7 @@ class SystemCache:
             else:
                 failing_node, chains = self.report.failing_node, split.chains
             split.refactor(chains)
-        self.report = _report(self.facts, rows, self.mode, failing_node)
+        self.report = _report(self.facts, rows, failing_node)
         self.rows = rows
         return "fresh"
 
@@ -230,15 +222,13 @@ def verify_theorem_conditions(
     strictly dominant on rows untouched by cap handling and positively
     dominant on the rest; impulse rows must be weakly dominant with zero row
     sum; and the z-directed chain from every d = 1 node must reach a d = 0
-    node within 2*q_bar moves.  In paper extrapolation mode, Z/dominance
-    violations confined to extrapolated rows are reported as findings rather
-    than failures.  The row conditions are read off ``system.matrix`` itself,
-    at the module tolerances ``Z_TOL`` and ``MARGIN_TOL``.
+    node within 2*q_bar moves.  The row conditions are read off
+    ``system.matrix`` itself, at the module tolerances ``Z_TOL`` and
+    ``MARGIN_TOL``.
     """
     checks = _row_checks(*linsolve.split(system.matrix))
     facts = _row_facts(checks, system.impulse_mask, system.boundary_rows)
-    return _report(facts, np.arange(checks.shape[1]), system.mode,
-                   _impulse_chains(grid, policy)[0])
+    return _report(facts, np.arange(checks.shape[1]), _impulse_chains(grid, policy)[0])
 
 
 def _row_checks(band, table) -> np.ndarray:
@@ -260,44 +250,33 @@ def _row_facts(checks: np.ndarray, impulse: np.ndarray, boundary: np.ndarray):
     the boundary dominance margin, each +inf on rows of the other kinds;
     ``flags`` ORs the module's flag bits of the conditions the row fails."""
     diag, pos_off, margin, row_sums = checks
-    pos_off = pos_off.astype(bool)
     impulse_ok = (np.abs(row_sums) <= Z_TOL) & (np.abs(diag - 1.0) <= Z_TOL)
     flags = np.zeros(diag.size, dtype=np.uint8)
     flags[~(diag > 0)] |= NONPOSITIVE_DIAG
-    flags[pos_off & boundary] |= POS_OFF_BOUNDARY
-    flags[pos_off & ~boundary] |= POS_OFF_OTHER
+    flags[pos_off.astype(bool)] |= POS_OFF
     flags[impulse & ~impulse_ok] |= BAD_IMPULSE
     margins = np.stack([np.where(~impulse & ~boundary, margin, np.inf),
                         np.where(boundary, margin, np.inf)])
     return margins, flags, diag.copy()
 
 
-def _report(facts, rows: np.ndarray, mode: str, failing_node: int | None) -> VerificationReport:
+def _report(facts, rows: np.ndarray, failing_node: int | None) -> VerificationReport:
     """Verification report of A(P), whose row r is row ``rows[r]`` of the
-    ``_row_facts`` ``facts``, in stencil mode ``mode`` and with the
-    ``failing_node`` of the impulse-chain walk; one message per failed
-    condition."""
+    ``_row_facts`` ``facts``, with the ``failing_node`` of the impulse-chain
+    walk; one message per failed condition."""
     margin_table, flag_table, diag = facts
     margins = np.take(margin_table, rows, axis=1)
     min_interior, min_boundary = map(float, margins.min(axis=1, initial=np.inf))
-    report = VerificationReport(mode, failing_node, min_interior, min_boundary)
-    findings, hard = report.findings, report.hard_failures
+    report = VerificationReport(failing_node, min_interior, min_boundary)
+    hard = report.hard_failures
     flags = np.take(flag_table, rows)
     raised = int(np.bitwise_or.reduce(flags, initial=0))
 
     if raised & NONPOSITIVE_DIAG:
         hard.append(f"nonpositive diagonal at row {int(np.argmin(np.take(diag, rows)))}")
 
-    if raised & (POS_OFF_BOUNDARY | POS_OFF_OTHER):
-        pos_off_rows = np.flatnonzero(flags & (POS_OFF_BOUNDARY | POS_OFF_OTHER))
-        outside = np.flatnonzero(flags & POS_OFF_OTHER)
-        if mode == "paper" and outside.size == 0:
-            findings.append(
-                f"paper mode: positive off-diagonals on {pos_off_rows.size} extrapolated rows"
-            )
-        else:
-            where = outside[0] if outside.size else pos_off_rows[0]
-            hard.append(f"positive off-diagonal entry on row {int(where)}")
+    if raised & POS_OFF:
+        hard.append(f"positive off-diagonal entry on row {int(np.argmax(flags & POS_OFF))}")
 
     if not min_interior >= 1.0 - MARGIN_TOL:
         hard.append(
@@ -305,12 +284,8 @@ def _report(facts, rows: np.ndarray, mode: str, failing_node: int | None) -> Ver
             f"{int(np.argmin(margins[0]))}"
         )
     if not min_boundary > 0.0:
-        msg = (f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row "
-               f"{int(np.argmin(margins[1]))}")
-        if mode == "paper":
-            findings.append("paper mode: " + msg)
-        else:
-            hard.append(msg)
+        hard.append(f"boundary-row dominance margin {min_boundary:.3e} <= 0 at row "
+                    f"{int(np.argmin(margins[1]))}")
 
     if raised & BAD_IMPULSE:
         hard.append("impulse row deviates from (diag 1, neighbor -1, row sum 0)")

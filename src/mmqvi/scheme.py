@@ -119,15 +119,14 @@ class SparseSystem:
     """Assembled linear system A(P) v = b(P), matrix in CSR form.
 
     ``impulse_mask`` marks rows taken from I - B(z); ``boundary_rows`` marks
-    continuation rows whose shift stencils needed cap handling (the rows
-    whose dominance margin degrades in paper extrapolation mode).
+    continuation rows whose shift stencils were clamped at the cap (the rows
+    checked for a positive rather than a unit dominance margin).
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     impulse_mask: np.ndarray
     boundary_rows: np.ndarray
-    mode: str
 
 
 def _upwind_coeffs(grid: Grid, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -301,4 +300,4 @@ def assemble_system(
     rows = policy_rows(grid, policy)
     impulse = (policy.code & D) != 0
     return SparseSystem(row_types(grid, p, st)[rows], StepTables(grid, p, st).rhs(rows, v_next),
-                        impulse, np.tile(st.boundary, grid.n_q) & ~impulse, st.mode)
+                        impulse, np.tile(st.boundary, grid.n_q) & ~impulse)

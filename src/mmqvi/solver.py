@@ -81,7 +81,6 @@ class Solution:
 
     params: ModelParams
     grid: Grid
-    mode: str
     surfaces: list[ValueSurface]
     policies: list[Policy]
     metadata: dict = field(default_factory=dict)
@@ -141,6 +140,9 @@ def solve_backward(
     the ``sweep_steps`` (single-sweep steps) alike, and
     ``metadata["phase_s"]`` the seconds all levels spent in improvement, in
     ``SystemCache.load`` and in the sweeps and solves.
+
+    ``mode`` accepts only ``"clamp"``, as ``grid.build_stencils`` does; the
+    argument stays only because ``perfbench/workloads.py`` still passes it.
     """
     started = time.perf_counter()
     grid = build_grid(p, spec)
@@ -203,14 +205,13 @@ def solve_backward(
                         for s in surfaces])
     metadata = {
         "method": "implicit",
-        "mode": mode,
         "per_level": per_level[::-1],
         "horizon_monotone_q0": bool(np.all(np.diff(q0_rows, axis=0) <= 1e-9)),
         "phase_s": phase_s,
         "wall_time": time.perf_counter() - started,
     }
-    return Solution(params=p, grid=grid, mode=mode, surfaces=surfaces,
-                    policies=policies, metadata=metadata)
+    return Solution(params=p, grid=grid, surfaces=surfaces, policies=policies,
+                    metadata=metadata)
 
 
 def explicit_cfl_factor(p: ModelParams, grid: Grid) -> float:
@@ -247,7 +248,6 @@ def _project_impulses(grid: Grid, p: ModelParams, v2d: np.ndarray):
 def solve_explicit_baseline(
     p: ModelParams,
     spec: GridSpec,
-    mode: str = "clamp",
 ) -> Solution:
     """Explicit one-step scheme with the impulse max as a post-projection.
 
@@ -258,7 +258,7 @@ def solve_explicit_baseline(
     """
     started = time.perf_counter()
     grid = build_grid(p, spec)
-    st = build_stencils(grid, p, mode)
+    st = build_stencils(grid, p)
     cfl = explicit_cfl_factor(p, grid)
     n_levels = spec.n_time_steps
 
@@ -284,12 +284,11 @@ def solve_explicit_baseline(
 
     metadata = {
         "method": "explicit",
-        "mode": mode,
         "cfl_factor": cfl,
         "wall_time": time.perf_counter() - started,
     }
-    return Solution(params=p, grid=grid, mode=mode, surfaces=surfaces,
-                    policies=policies, metadata=metadata)
+    return Solution(params=p, grid=grid, surfaces=surfaces, policies=policies,
+                    metadata=metadata)
 
 
 @dataclass(eq=False)
@@ -322,7 +321,6 @@ def refinement_table(
     probe_alphas,
     probe_qs,
     rounds: int = 3,
-    mode: str = "clamp",
     piter: PiterConfig = PiterConfig(),
 ) -> RefinementResult:
     """Solve on ``rounds + 1`` nested grids and tabulate t = 0 probe values.
@@ -349,7 +347,7 @@ def refinement_table(
 
     values = np.empty((len(specs), len(probes)))
     for r, s in enumerate(specs):
-        sol = solve_backward(p, s, mode=mode, piter=piter)
+        sol = solve_backward(p, s, piter=piter)
         g = sol.grid
         v0 = sol.surfaces[0].values.reshape(g.n_q, g.n_alpha)
         for c, (a, q) in enumerate(probes):

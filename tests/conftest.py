@@ -231,7 +231,7 @@ def no_profit_params() -> ModelParams:
 
 
 @pytest.fixture(scope="module")
-def toy_enumeration(toy_grid, toy_params, toy_stencils):
+def toy_enumeration(toy_grid, toy_params):
     """Dense systems for every admissible policy of the toy instance.
 
     Per node the choices are the admissible (la, lb) continuation pairs plus
@@ -241,7 +241,7 @@ def toy_enumeration(toy_grid, toy_params, toy_stencils):
     theorem excludes exactly these).  Kind codes: 0 continuation, +1/-1
     impulse direction.
     """
-    grid, p, st = toy_grid, toy_params, toy_stencils
+    grid, p = toy_grid, toy_params
     m = grid.n_nodes
     v_next = mmqvi.terminal_vector(grid, p)
 
@@ -253,7 +253,7 @@ def toy_enumeration(toy_grid, toy_params, toy_stencils):
             for lb in (0, 1):
                 if (jj == 0 and la) or (jj == grid.n_q - 1 and lb):
                     continue
-                cols, vals, reward = continuation_row(grid, p, st, ii, jj, la, lb)
+                cols, vals, reward = continuation_row(grid, p, ii, jj, la, lb)
                 dense = np.zeros(m)
                 np.add.at(dense, np.asarray(cols), np.asarray(vals))
                 node_rows.append(dense)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmqvi.grid import EXACT_SHIFT_TOL, MODES, Grid, StencilSet
+from mmqvi.grid import EXACT_SHIFT_TOL, Grid
 from mmqvi.model import ModelParams, running_reward
 from mmqvi.scheme import Policy
 
@@ -40,7 +40,7 @@ class ShiftStencil:
 
     ``indices``/``weights`` give the linear functional; weights always sum to
     one.  ``boundary`` marks stencils whose shift target left the lattice and
-    therefore received clamp or extrapolation treatment.
+    was therefore clamped to the cap node.
     """
 
     alpha_index: int
@@ -56,7 +56,7 @@ class ShiftStencil:
         return out
 
 
-def _resolve(raw: list[tuple[int, float]], i_max: int, mode: str) -> tuple[list[tuple[int, float]], bool]:
+def _resolve(raw: list[tuple[int, float]], i_max: int) -> tuple[list[tuple[int, float]], bool]:
     """Map raw (possibly off-lattice) stencil points into [0, i_max]."""
     boundary = False
     resolved: dict[int, float] = {}
@@ -69,24 +69,12 @@ def _resolve(raw: list[tuple[int, float]], i_max: int, mode: str) -> tuple[list[
             add(idx, w)
             continue
         boundary = True
-        if mode == "clamp":
-            add(min(max(idx, 0), i_max), w)
-        elif idx > i_max:
-            # linear extrapolation from the two top nodes
-            e = idx - i_max
-            add(i_max, w * (1.0 + e))
-            add(i_max - 1, -w * e)
-        else:
-            e = -idx
-            add(0, w * (1.0 + e))
-            add(1, -w * e)
+        add(min(max(idx, 0), i_max), w)
     items = sorted(resolved.items())
     return items, boundary
 
 
-def _stencil(grid: Grid, gamma: float, i: int, direction: int, mode: str) -> ShiftStencil:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def _stencil(grid: Grid, gamma: float, i: int, direction: int) -> ShiftStencil:
     m = gamma / grid.d_alpha
     m_round = round(m)
     if abs(m - m_round) < EXACT_SHIFT_TOL:
@@ -95,7 +83,7 @@ def _stencil(grid: Grid, gamma: float, i: int, direction: int, mode: str) -> Shi
         fl = math.floor(m)
         frac = m - fl
         raw = [(i + direction * fl, 1.0 - frac), (i + direction * (fl + 1), frac)]
-    items, boundary = _resolve(raw, grid.n_alpha - 1, mode)
+    items, boundary = _resolve(raw, grid.n_alpha - 1)
     return ShiftStencil(
         alpha_index=i,
         indices=tuple(idx for idx, _ in items),
@@ -105,20 +93,19 @@ def _stencil(grid: Grid, gamma: float, i: int, direction: int, mode: str) -> Shi
     )
 
 
-def shift_stencil_up(grid: Grid, p: ModelParams, i: int, mode: str = "clamp") -> ShiftStencil:
+def shift_stencil_up(grid: Grid, p: ModelParams, i: int) -> ShiftStencil:
     """Stencil for v(alpha_i + gamma_a, .)."""
-    return _stencil(grid, p.gamma_a, i, +1, mode)
+    return _stencil(grid, p.gamma_a, i, +1)
 
 
-def shift_stencil_down(grid: Grid, p: ModelParams, i: int, mode: str = "clamp") -> ShiftStencil:
+def shift_stencil_down(grid: Grid, p: ModelParams, i: int) -> ShiftStencil:
     """Stencil for v(alpha_i - gamma_b, .)."""
-    return _stencil(grid, p.gamma_b, i, -1, mode)
+    return _stencil(grid, p.gamma_b, i, -1)
 
 
 def residual_at_node(
     grid: Grid,
     p: ModelParams,
-    st: StencilSet,
     ii: int,
     jj: int,
     r: float,
@@ -130,7 +117,7 @@ def residual_at_node(
     Scalar transliteration of the node-wise maximization, used to probe the
     monotonicity of the scheme in the off-center values.  ``v`` supplies the
     off-center values at the current level, ``v_next`` the full next level.
-    Only ``st.mode`` is read: the stencils come from ``shift_stencil_*``.
+    The stencils come from ``shift_stencil_*``.
     """
     n_alpha, n_q = grid.n_alpha, grid.n_q
     v2d = v.reshape(n_q, n_alpha).copy()
@@ -149,8 +136,8 @@ def residual_at_node(
     if ldn:
         dd += ldn * (v2d[jj, ii - 1] - r)
 
-    up = shift_stencil_up(grid, p, ii, st.mode)
-    down = shift_stencil_down(grid, p, ii, st.mode)
+    up = shift_stencil_up(grid, p, ii)
+    down = shift_stencil_down(grid, p, ii)
     best = -np.inf
     for la in (0, 1):
         if la and jj == 0:
@@ -174,15 +161,13 @@ def residual_at_node(
     return best
 
 
-def continuation_row(
-    grid: Grid, p: ModelParams, st: StencilSet, ii: int, jj: int, la: int, lb: int
-):
+def continuation_row(grid: Grid, p: ModelParams, ii: int, jj: int, la: int, lb: int):
     """One row of I - dt*L(w) plus the reward part of its right side.
 
     Returns (cols, vals, rhs_reward) where rhs_reward = dt * f(alpha, q, la,
     lb); the full right side adds v^{n+1} at the node.  Raises if a quote bit
-    would move inventory past a cap.  Only ``st.mode`` is read: the stencils
-    come from ``shift_stencil_*``.
+    would move inventory past a cap.  The stencils come from
+    ``shift_stencil_*``.
     """
     if la not in (0, 1) or lb not in (0, 1):
         raise ValueError(f"quote bits must be 0/1, got la={la!r} lb={lb!r}")
@@ -208,10 +193,10 @@ def continuation_row(
         add(flatten(grid, ii + 1, jj), -dt * lup)
     if ldn:
         add(flatten(grid, ii - 1, jj), -dt * ldn)
-    up = shift_stencil_up(grid, p, ii, st.mode)
+    up = shift_stencil_up(grid, p, ii)
     for idx, w in zip(up.indices, up.weights):
         add(flatten(grid, idx, jj - la), -dt * p.lambda_a * w)
-    down = shift_stencil_down(grid, p, ii, st.mode)
+    down = shift_stencil_down(grid, p, ii)
     for idx, w in zip(down.indices, down.weights):
         add(flatten(grid, idx, jj + lb), -dt * p.lambda_b * w)
 

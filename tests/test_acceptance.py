@@ -175,7 +175,7 @@ def test_criterion_04_theorem_condition_verifier(
             cols, vals, _ = impulse_row(grid, toy_params, ii, jj, int(cyc_z[node]))
             cyc_row[node, list(cols)] = vals
         else:
-            cols, vals, _ = continuation_row(grid, toy_params, toy_stencils, ii, jj, 0, 0)
+            cols, vals, _ = continuation_row(grid, toy_params, ii, jj, 0, 0)
             np.add.at(cyc_row[node], np.asarray(cols), np.asarray(vals))
     cycle_singular = np.linalg.matrix_rank(cyc_row) < m
 
@@ -197,7 +197,7 @@ def test_criterion_04_theorem_condition_verifier(
         pol = Policy.of(la=la, lb=lb, z=z, d=d)
         pol.validate(grid)
         system = assemble_system(grid, toy_params, toy_stencils, pol, v_next)
-        sample_ok = sample_ok and verify_theorem_conditions(grid, pol, system).ok
+        sample_ok = sample_ok and verify_theorem_conditions(grid, pol, system).sound
 
     # Sampled random admissible policies on the reference grid, clamp mode.
     rng = np.random.default_rng(19)
@@ -218,7 +218,7 @@ def test_criterion_04_theorem_condition_verifier(
         report = verify_theorem_conditions(
             grid6, pol, assemble_system(grid6, params6, stencils6, pol, v_next6)
         )
-        sampled_ok = sampled_ok and report.ok
+        sampled_ok = sampled_ok and report.sound
         n_checked += 1
 
     ok = toy_ok and paths_ok and cycle_caught and cycle_singular and sample_ok and sampled_ok
@@ -235,7 +235,7 @@ def test_criterion_04_theorem_condition_verifier(
 # --------------------------------------------------------------------- 5
 
 
-def test_criterion_05_scheme_monotonicity(grid6, params6, stencils6, capsys):
+def test_criterion_05_scheme_monotonicity(grid6, params6, capsys):
     rng = np.random.default_rng(23)
     m = grid6.n_nodes
     worst = np.inf
@@ -249,8 +249,8 @@ def test_criterion_05_scheme_monotonicity(grid6, params6, stencils6, capsys):
         u = w + bump
         v_next = rng.normal(size=m) * scale
         r = w[node]
-        s_hi = residual_at_node(grid6, params6, stencils6, ii, jj, r, u, v_next)
-        s_lo = residual_at_node(grid6, params6, stencils6, ii, jj, r, w, v_next)
+        s_hi = residual_at_node(grid6, params6, ii, jj, r, u, v_next)
+        s_lo = residual_at_node(grid6, params6, ii, jj, r, w, v_next)
         worst = min(worst, s_hi - s_lo)
     ok = worst >= -1e-12
     _report(

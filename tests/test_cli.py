@@ -100,7 +100,6 @@ def test_empty_config_yields_the_reference_setup():
     assert cfg.spec == default_grid_spec()
     assert cfg.piter == PiterConfig()
     assert cfg.mode == "solve"
-    assert cfg.extrapolation == "clamp"
     assert cfg.seed == 7
     assert cfg.n_paths == 10_000
     assert cfg.refine_rounds == 3
@@ -346,6 +345,20 @@ def test_non_finite_values_are_config_errors_before_any_solve(
                      "--out", str(tmp_path / "out")]) == 2
     message = f"bad value for key {key}: '{value}' (must be finite)"
     assert any(message in rec.message for rec in caplog.records)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_boundary_treatment_is_not_a_run_setting(tmp_path, caplog):
+    # clamp is the one boundary treatment: the retired paper mode can be
+    # chosen neither in a config file nor by a flag
+    path = tmp_path / "paper.cfg"
+    path.write_text(TINY_CONFIG + "extrapolation = paper\n")
+    with caplog.at_level(logging.ERROR):
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert any("unknown key: extrapolation" in rec.message for rec in caplog.records)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--extrapolation", "clamp", "--out", str(tmp_path / "out")])
+    assert exc_info.value.code == 2
     assert not (tmp_path / "out").exists()
 
 

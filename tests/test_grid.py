@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mmqvi import GridSpec, build_grid, build_stencils
-from mmqvi.grid import EXACT_SHIFT_TOL
+from mmqvi import GridSpec, build_grid, build_stencils, solve_backward
+from mmqvi.grid import EXACT_SHIFT_TOL, MODES
 
 from conftest import quiet_params
 from oracles import flatten, shift_stencil_down, shift_stencil_up, unflatten
@@ -161,16 +161,7 @@ def test_clamp_mode_pins_overshoot_to_the_boundary_node(grid6, params6):
     assert up.boundary
 
 
-def test_paper_mode_extrapolates_from_the_last_two_nodes(grid6, params6):
-    up = shift_stencil_up(grid6, params6, 95, mode="paper")
-    assert up.boundary
-    assert up.indices == (99, 100)
-    assert up.weights == pytest.approx((-5.0, 6.0))
-    # Exact on linear data: the extrapolated value continues the line.
-    assert up.apply(grid6.alphas) == pytest.approx(330.0, rel=1e-13)
-
-
-@pytest.mark.parametrize("mode", ["clamp", "paper"])
+@pytest.mark.parametrize("mode", MODES)
 def test_stencil_weights_sum_to_one(grid6, params6, mode):
     st = build_stencils(grid6, params6, mode)
     for shift_map in (st.up, st.down):
@@ -180,14 +171,6 @@ def test_stencil_weights_sum_to_one(grid6, params6, mode):
 def test_clamp_weights_are_nonnegative(stencils6):
     for shift_map in (stencils6.up, stencils6.down):
         assert shift_map.data.min() >= 0.0
-
-
-def test_paper_negative_weights_only_on_boundary_stencils(grid6, params6):
-    st = build_stencils(grid6, params6, "paper")
-    for shift_map in (st.up, st.down):
-        a = shift_map.tocoo()
-        negative_rows = np.unique(a.row[a.data < 0])
-        assert negative_rows.size and st.boundary[negative_rows].all()
 
 
 def test_stencils_mirror_when_shift_sizes_match(grid6, params6):
@@ -201,16 +184,20 @@ def test_stencils_mirror_when_shift_sizes_match(grid6, params6):
 
 
 def test_packed_matrix_agrees_with_stencil_apply(grid6, params6):
-    st = build_stencils(grid6, params6, "paper")
+    st = build_stencils(grid6, params6, "clamp")
     rng = np.random.default_rng(3)
     v = rng.normal(size=grid6.n_alpha)
     n = grid6.n_alpha
-    up = [shift_stencil_up(grid6, params6, i, "paper").apply(v) for i in range(n)]
-    down = [shift_stencil_down(grid6, params6, i, "paper").apply(v) for i in range(n)]
+    up = [shift_stencil_up(grid6, params6, i).apply(v) for i in range(n)]
+    down = [shift_stencil_down(grid6, params6, i).apply(v) for i in range(n)]
     np.testing.assert_allclose(st.up @ v, up, rtol=0, atol=1e-12)
     np.testing.assert_allclose(st.down @ v, down, rtol=0, atol=1e-12)
 
 
-def test_unknown_extrapolation_mode_rejected(grid6, params6):
-    with pytest.raises(ValueError, match="mode"):
-        build_stencils(grid6, params6, "linear")
+@pytest.mark.parametrize("mode", ["linear", "paper"])
+def test_unknown_extrapolation_mode_rejected(grid6, params6, spec6, mode):
+    # clamp is the one boundary treatment; the retired paper mode is unknown
+    with pytest.raises(ValueError, match=r"mode must be one of \('clamp',\)"):
+        build_stencils(grid6, params6, mode)
+    with pytest.raises(ValueError, match=r"mode must be one of \('clamp',\)"):
+        solve_backward(params6, spec6, mode=mode)

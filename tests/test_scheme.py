@@ -3,10 +3,13 @@
 The strongest checks here hold the policy fixed and compare the assembled
 backward solve against closed forms.  For a value surface linear in alpha the
 shift stencils, the one-sided drift, and the vanishing diffusion are all
-exact, so with extrapolation mode "paper" the scheme must reproduce such
-surfaces to rounding error; the quote-everywhere surface additionally
-couples inventory levels and is checked against an independent coefficient
-recursion in (alpha-slope, intercept) form.
+exact away from the cap; clamping a shift target to the cap node perturbs
+only the rows near it.  The reflection symmetry of the problem cancels that
+perturbation on the centre column alpha = 0, which must reproduce the closed
+form to rounding error, and the rest of the surface must stay within 1e-4
+of it.  The quote-everywhere surface additionally couples inventory levels
+and is checked against an independent coefficient recursion in
+(alpha-slope, intercept) form.
 """
 
 import numpy as np
@@ -106,33 +109,33 @@ def test_policy_digest_tracks_content(toy_grid):
 # -------------------------------------------------------------------- rows
 
 
-def test_continuation_diagonal_at_center(grid6, params6, stencils6):
+def test_continuation_diagonal_at_center(grid6, params6):
     node = flatten(grid6, 50, 4)  # alpha = 0, q = 0
-    cols, vals, reward = continuation_row(grid6, params6, stencils6, 50, 4, 0, 0)
+    cols, vals, reward = continuation_row(grid6, params6, 50, 4, 0, 0)
     diag = vals[list(cols).index(node)]
     # 1 + dt * (diffusion 2 * (rho^2/2)/d_alpha^2 + jump intensities)
     assert diag == pytest.approx(1.0 + 0.05 * (1.0 / 36.0 + 2.0), rel=1e-12)
     assert reward == 0.0  # alpha = 0, q = 0, no quotes
 
 
-def test_continuation_row_center_has_five_entries(grid6, params6, stencils6):
-    cols, vals, _ = continuation_row(grid6, params6, stencils6, 50, 4, 0, 0)
+def test_continuation_row_center_has_five_entries(grid6, params6):
+    cols, vals, _ = continuation_row(grid6, params6, 50, 4, 0, 0)
     assert len(set(cols)) == 5  # self, alpha neighbors, two exact shifts
 
 
-def test_continuation_row_reproduces_constants(grid6, params6, stencils6):
+def test_continuation_row_reproduces_constants(grid6, params6):
     # Row coefficients must sum to one so constants pass through the
     # homogeneous part unchanged.
     for ii, jj, la, lb in [(50, 4, 0, 0), (0, 4, 0, 0), (100, 2, 1, 1), (37, 8, 1, 0)]:
-        cols, vals, _ = continuation_row(grid6, params6, stencils6, ii, jj, la, lb)
+        cols, vals, _ = continuation_row(grid6, params6, ii, jj, la, lb)
         assert sum(vals) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_continuation_row_rejects_cap_breaching_quotes(grid6, params6, stencils6):
+def test_continuation_row_rejects_cap_breaching_quotes(grid6, params6):
     with pytest.raises(ValueError, match="la"):
-        continuation_row(grid6, params6, stencils6, 10, 0, 1, 0)
+        continuation_row(grid6, params6, 10, 0, 1, 0)
     with pytest.raises(ValueError, match="lb"):
-        continuation_row(grid6, params6, stencils6, 10, 8, 0, 1)
+        continuation_row(grid6, params6, 10, 8, 0, 1)
 
 
 def test_impulse_row_entries(grid6, params6):
@@ -170,7 +173,7 @@ def test_assembled_system_matches_row_builders(toy_grid, toy_params, toy_stencil
             assert system.impulse_mask[node]
         else:
             cols, vals, reward = continuation_row(
-                grid, p, st, ii, jj, int(pol.la[node]), int(pol.lb[node])
+                grid, p, ii, jj, int(pol.la[node]), int(pol.lb[node])
             )
             rhs = v_next[node] + reward
             assert not system.impulse_mask[node]
@@ -252,7 +255,7 @@ def test_residual_at_node_matches_vector_residual(toy_grid, toy_params, toy_sten
     res, _ = residual(StepTables(grid, p, st), v, v_next)
     for node in range(grid.n_nodes):
         ii, jj = unflatten(grid, node)
-        scalar = residual_at_node(grid, p, st, ii, jj, v[node], v, v_next)
+        scalar = residual_at_node(grid, p, ii, jj, v[node], v, v_next)
         assert scalar == pytest.approx(res[node], abs=1e-12)
 
 
@@ -271,31 +274,10 @@ def test_residual_vanishes_at_policy_iteration_fixed_point(
 # ------------------------------------------------------- frozen-policy oracles
 
 
-def test_null_policy_matches_closed_form_in_paper_mode(params6):
+def test_null_policy_clamp_mode_exact_at_center_small_at_caps(params6):
     # With no quotes and no impulses the value separates: v(t, alpha, q) =
     # g(q) - (T - t) phi q^2 + b_n sigma q alpha where the slope recursion
-    # b_n = (b_{n+1} + dt) / (1 + k dt) telescopes from b_N = 0.  Linear
-    # extrapolation keeps every stencil exact on linear data, so the solve
-    # must reproduce this surface to rounding error.
-    p = params6
-    spec = GridSpec(40, 51, 300.0, 4)
-    grid = build_grid(p, spec)
-    st = build_stencils(grid, p, "paper")
-    v0 = backward_fixed_policy(grid, p, st, null_policy(grid), spec.n_time_steps)
-
-    n = spec.n_time_steps
-    b = (1.0 - (1.0 + p.k * grid.d_t) ** (-n)) / p.k
-    alpha = grid.alpha_of_node
-    q = grid.q_of_node
-    exact = (
-        np.array([terminal_value(p, qi) for qi in q])
-        - p.T * p.phi * q**2
-        + b * p.sigma * q * alpha
-    )
-    np.testing.assert_allclose(v0, exact, rtol=0, atol=1e-12)
-
-
-def test_null_policy_clamp_mode_exact_at_center_small_at_caps(params6):
+    # b_n = (b_{n+1} + dt) / (1 + k dt) telescopes from b_N = 0.
     p = params6
     spec = GridSpec(40, 51, 300.0, 4)
     grid = build_grid(p, spec)
@@ -321,12 +303,13 @@ def test_null_policy_clamp_mode_exact_at_center_small_at_caps(params6):
 def test_quote_everywhere_policy_matches_coefficient_recursion(params6):
     # Posting both quotes everywhere couples inventory levels through fills.
     # On an alpha-linear ansatz v_n(alpha, q) = a_n[q] + c_n[q] alpha the
-    # implicit step reduces to two small linear recursions in q; in paper
-    # mode the full 459-node solve must agree with them to rounding error.
+    # implicit step reduces to two small linear recursions in q.  The full
+    # 459-node solve must agree with them to rounding error on the centre
+    # column, where clamping cancels by symmetry, and within 1e-4 elsewhere.
     p = params6
     spec = GridSpec(40, 51, 300.0, 4)
     grid = build_grid(p, spec)
-    st = build_stencils(grid, p, "paper")
+    st = build_stencils(grid, p, "clamp")
     pol = all_quotes_policy(grid)
     v0 = backward_fixed_policy(grid, p, st, pol, spec.n_time_steps)
 
@@ -353,7 +336,7 @@ def test_quote_everywhere_policy_matches_coefficient_recursion(params6):
         a = np.linalg.solve(intercept, a + dt * (drift_in + reward))
 
     exact = a[:, None] + np.outer(c, grid.alphas)
-    np.testing.assert_allclose(
-        v0.reshape(nq, grid.n_alpha), exact, rtol=0, atol=1e-12
-    )
+    err = np.abs(v0.reshape(nq, grid.n_alpha) - exact)
+    assert err[:, grid.n_alpha // 2].max() <= 1e-12
+    assert err.max() <= 1e-4
     assert v0[flatten(grid, 25, 4)] == pytest.approx(0.015037902973, abs=1e-9)

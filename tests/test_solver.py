@@ -63,7 +63,6 @@ def test_solution_layout_and_metadata(fast_sol, fast_spec):
         assert surface.t == pytest.approx(fast_sol.grid.times[level])
     md = fast_sol.metadata
     assert md["method"] == "implicit"
-    assert md["mode"] == "clamp"
     assert md["wall_time"] > 0.0
     assert isinstance(md["horizon_monotone_q0"], bool)
     # the phase totals lie inside the wall time and stay out of per_level
@@ -128,13 +127,17 @@ def test_verification_failures_name_the_level(toy_params, monkeypatch):
     assert exc_info.value.report.failing_node is not None
 
 
-def test_paper_mode_reference_solve_fails_on_a_named_decrease(params6, spec6):
-    # Extrapolated rows void the monotonicity guarantee; at the reference
-    # configuration an iterate decreases.  The solve must stop on that
-    # decrease, not on a verification error the row checks invented.
-    pattern = r"^time level \d+: iterate decreased .* at node \d+"
-    with pytest.raises(PolicyIterationError, match=pattern):
+def test_paper_mode_reference_solve_is_rejected(params6, spec6):
+    # Paper mode's linear extrapolation past the cap made A(P) lose inverse
+    # positivity, and its reference solve stopped on a decreasing iterate.
+    # It is gone: the reference solve rejects it by name before any level,
+    # and the explicit baseline and refinement take no mode at all.
+    with pytest.raises(ValueError, match=r"mode must be one of \('clamp',\), got 'paper'"):
         solve_backward(params6, spec6, mode="paper")
+    with pytest.raises(TypeError, match="mode"):
+        solve_explicit_baseline(params6, spec6, mode="clamp")
+    with pytest.raises(TypeError, match="mode"):
+        refinement_table(params6, spec6, [0.0], [0], mode="clamp")
 
 
 def test_solve_failures_name_the_level_and_row(toy_params, monkeypatch):
