@@ -473,8 +473,9 @@ def estimate_performance(
     alpha0 is not finite or the inventory y0[3] is not integral, and when
     ``n_paths`` is not an integer >= 1.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    n_paths = int(n_paths)
     x0, s0, alpha0, q0 = start = _start_state(p, int(sol.grid.qs[-1]), y0)
     rng = np.random.default_rng(seed)
     objectives, counts = _replay(p, sol, start, n_paths, rng)

@@ -2,7 +2,7 @@
 
 Alternates the node-wise argmax of the step residual with an evaluation of
 the selected policy system until, after a full solve, the relative change
-of the iterate drops below tolerance or the policy repeats exactly.  While
+of the iterate drops below tolerance or the policy's rows repeat.  While
 the policy moves, an evaluation is one splitting sweep (a single-sweep step,
 as in modified policy iteration; Puterman & Shin 1978); a policy that holds
 across a sweep is solved to the residual contract.  Under the verified
@@ -104,7 +104,7 @@ class PiterTrace:
     (negative = decrease); the number of single-sweep steps and of solves
     that fell back to sparse LU; the verification report of each loaded
     system; and for every improvement after the first the number of nodes
-    whose (la, lb, d, z) changed from the previous one.  ``phase_s`` totals
+    whose row of A(P) it changed (0 for a repeat).  ``phase_s`` totals
     the seconds spent in improvement, in ``SystemCache.load`` and in the
     sweeps and solves (with their fallback).
     """
@@ -167,14 +167,14 @@ class SystemCache:
         self.step = scheme.StepTables(grid, p, st)
         self.rows = self.report = self.split = None
 
-    def load(self, policy: Policy) -> str:
-        """Make the entry A(P)'s and return its route: ``reused`` when the
-        entry already selects the rows of ``policy``, else ``fresh`` after
-        gathering the report and splitting.  After the first load only the
-        rows whose selection changed are written into the splitting, which
-        is then factored anew; the impulse chains are walked again only when
-        a changed row is an impulse row before or after.  Chains are closed
-        only when the walk finds every one ending in a continuation node."""
+    def load(self, policy: Policy) -> int:
+        """Make the entry A(P)'s and return the number of its rows that
+        changed: 0 when the entry already selects the rows of ``policy``,
+        every row on the first load.  After that only the changed rows are
+        written into the splitting, which is then factored anew; the impulse
+        chains are walked again only when a changed row is an impulse row
+        before or after.  Chains are closed only when the walk finds every
+        one ending in a continuation node."""
         grid = self.step.grid
         rows = scheme.policy_rows(grid, policy)
         if self.rows is None:
@@ -182,10 +182,11 @@ class SystemCache:
             self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
                                             linsolve.gather(self.n_types, rows, grid.n_nodes),
                                             chains)
+            changed = rows.size
         else:
             at = np.flatnonzero(rows != self.rows)
             if at.size == 0:
-                return "reused"
+                return 0
             new, split = rows[at], self.split
             split.band[:, at] = self.band[:, new]
             linsolve.regather(split.n_part, self.n_types, new, at)
@@ -195,9 +196,10 @@ class SystemCache:
             else:
                 failing_node, chains = self.report.failing_node, split.chains
             split.refactor(chains)
+            changed = at.size
         self.report = _report(self.facts, rows, failing_node)
         self.rows = rows
-        return "fresh"
+        return changed
 
     def rhs(self, v_next: np.ndarray) -> np.ndarray:
         """b(P) of the entry's policy, gathered by its rows."""
@@ -360,25 +362,25 @@ def iterate(
     verification per-step) when an iterate decreases by more than 10x the
     solver tolerance or a metric stop misses complementarity.
 
-    The first policy is solved to the residual contract.  After that, an
-    improvement that changes the policy is followed by one splitting sweep
-    under the new policy (a single-sweep step), and one that returns the
-    policy just swept with by a full solve from the swept iterate, so a free
+    The first policy is solved to the residual contract.  After that, each
+    improvement is loaded into ``cache``: one that changes a row of A(P) is
+    followed by one splitting sweep under it (a single-sweep step), and one
+    that changes none by a full solve from the swept iterate, so a free
     boundary moves a cell per sweep rather than per solve.  Every stop
-    follows a full solve: on a repeated policy at the next improvement, or
-    on a relative change of that solve below ``cfg.tol``.  A call given a
+    follows a full solve: on an improvement that changes no row, or on a
+    relative change of that solve below ``cfg.tol``.  A call given a
     ``policy`` stops only after at least one improvement.  From a
     subsolution of the first system every step stays monotone: a sweep
     keeps a subsolution one, and the improved policy's residual at it is
     nonnegative.
 
-    A(P) is fixed by the policy's row selection.  A policy that selects the
-    rows of the entry in ``cache`` reuses its report and splitting; any
-    other gathers its changed rows from the cache's per-grid tables.  Every
-    step gathers its right side from them, and every improvement reads the
-    cache's ``scheme.StepTables``.  At verification per-step, every step
-    raises VerificationError when its report has a hard failure.  A
-    solve whose sweeps miss the residual contract within
+    A policy that selects the rows of the entry in ``cache`` reuses its
+    report and splitting; any other gathers its changed rows from the
+    cache's per-grid tables.  Every new system gathers its right side from
+    them, and every improvement reads the cache's ``scheme.StepTables``.  At
+    verification per-step, every new system raises VerificationError when
+    its report has a hard failure, as does a reused first one.  A solve
+    whose sweeps miss the residual contract within
     ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
     successive calls to carry the split row types and the splitting across
     time steps.
@@ -387,34 +389,28 @@ def iterate(
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
     verify = cfg.verification != "off"
-    phase_s = trace.phase_s
-    clock = time.perf_counter
+
+    def timed(phase, fn, *args):
+        started = time.perf_counter()
+        out = fn(*args)
+        trace.phase_s[phase] += time.perf_counter() - started
+        return out
+
     improved = policy is None
-    if policy is None:
-        started = clock()
-        policy = improve_policy(cache.step, v, v_next)
-        phase_s["improve"] += clock() - started
-    exact, load = True, True
+    if improved:
+        policy = timed("improve", improve_policy, cache.step, v, v_next)
+    changed, exact = timed("load", cache.load, policy), True
 
     for _ in range(cfg.max_iter):
-        if load:
-            started = clock()
-            route = cache.load(policy)
-            phase_s["load"] += clock() - started
+        if changed or not trace.reports:
+            # a system not yet checked in this call
             if verify and not cache.report.sound:
                 raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
             trace.reports.append(cache.report)
-            rhs = cache.rhs(v_next)
-        started = clock()
+            route, rhs = ("fresh" if changed else "reused"), cache.rhs(v_next)
         if exact:
-            report = cache.split.solve(rhs, v)
+            report = timed("solve", cache.split.solve, rhs, v)
             v_new = report.solution
-        else:
-            v_new = cache.split.sweep(v, rhs)
-        phase_s["solve"] += clock() - started
-        increment = float((v_new - v).min())
-        trace.min_increments.append(increment)
-        if exact:
             metric = _stopping_metric(v_new, v)
             trace.policy_digests.append(policy.digest())
             trace.stop_metrics.append(metric)
@@ -422,7 +418,10 @@ def iterate(
             trace.sweeps.append(report.iterations)
             trace.fallbacks += report.method != "splitting"
         else:
+            v_new = timed("solve", cache.split.sweep, v, rhs)
             trace.sweep_steps += 1
+        increment = float((v_new - v).min())
+        trace.min_increments.append(increment)
 
         if verify and increment < -10.0 * cfg.solver_tol:
             raise PolicyIterationError(
@@ -432,30 +431,32 @@ def iterate(
             )
 
         v = v_new
-        if exact and improved and metric < cfg.tol:
+        # a metric stop needs an improvement in this call
+        if exact and (improved or trace.switched) and metric < cfg.tol:
             trace.converged_by = "metric"
             if verify:
                 _check_complementarity(cache.step, v, v_next, cfg)
             return v, policy, trace
 
-        started = clock()
-        improved_policy = improve_policy(cache.step, v, v_next)
-        phase_s["improve"] += clock() - started
-        improved = True
-        trace.switched.append(improved_policy.switched_nodes(policy))
-        if trace.switched[-1] == 0:
-            if exact:
-                trace.converged_by = "policy-repeat"
-                return v, policy, trace
-            exact, load = True, False
-        else:
-            exact, load, policy = False, True, improved_policy
+        candidate = timed("improve", improve_policy, cache.step, v, v_next)
+        changed = timed("load", cache.load, candidate)
+        trace.switched.append(changed)
+        if exact and not changed:
+            trace.converged_by = "policy-repeat"
+            return v, policy, trace
+        exact, policy = not changed, candidate
 
     raise PolicyIterationError(
         f"no convergence within {cfg.max_iter} iterations "
-        f"(last metric {trace.stop_metrics[-1]:.3e})",
+        f"({_count(trace.iterations, 'solve')}, {_count(trace.sweep_steps, 'single sweep')}; "
+        f"last metric {trace.stop_metrics[-1]:.3e}; "
+        f"last improvement switched {_count(changed, 'node')})",
         trace,
     )
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}{'s' * (n != 1)}"
 
 
 def _check_complementarity(tables, v, v_next, cfg) -> None:

@@ -67,7 +67,9 @@ class Policy:
     inventory caps, fills or impulses that would leave [-q_bar, q_bar] are
     inadmissible: la = 0 at q = -q_bar, lb = 0 at q = +q_bar, and d = 1 with
     an outward z is forbidden.  ``Policy.of`` packs the four fields; they
-    read back as read-only int8 arrays.
+    read back as read-only int8 arrays.  Bits that select no row of A(P), z
+    where d = 0 and la, lb where d = 1, do not make a different policy for
+    the solver, which compares ``policy_rows``.
     """
 
     code: np.ndarray
@@ -107,11 +109,6 @@ class Policy:
 
     def digest(self) -> str:
         return hashlib.sha1(np.ascontiguousarray(self.code).tobytes()).hexdigest()[:16]
-
-    def switched_nodes(self, other: "Policy") -> int:
-        """Number of nodes whose (la, lb, d, z) differ from ``other``'s;
-        0 when the two policies are equal."""
-        return int(np.count_nonzero(self.code != other.code))
 
 
 @dataclass(eq=False)

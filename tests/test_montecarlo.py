@@ -188,7 +188,7 @@ def test_solved_policy_beats_doing_nothing(params6, sol6):
 def test_bad_inputs_are_rejected(fast_params, fast_sol):
     with pytest.raises(SimulationError, match="inventory"):
         simulate_path(fast_params, fast_sol, (0.0, 100.0, 0.0, 5), seed=0)
-    for n_paths in (0, 10.0, True, "10"):
+    for n_paths in (0, 10.0, True, "10", np.int64(0), np.bool_(True)):
         with pytest.raises(ValueError, match="n_paths must be an integer >= 1"):
             estimate_performance(fast_params, fast_sol, (0.0, 100.0, 0.0, 0), n_paths, seed=0)
     for field, y0 in (("x0", (np.nan, 100.0, 0.0, 0)), ("s0", (0.0, np.inf, 0.0, 0)),
@@ -197,6 +197,14 @@ def test_bad_inputs_are_rejected(fast_params, fast_sol):
             estimate_performance(fast_params, fast_sol, y0, 10, seed=0)
         with pytest.raises(ValueError, match=f"start state {field} must be finite"):
             simulate_path(fast_params, fast_sol, y0, seed=0)
+
+
+def test_numpy_integer_path_counts_are_accepted(fast_params, fast_sol):
+    # as refinement_table takes a NumPy integer for ``rounds``
+    y0 = (0.0, 100.0, 0.0, 0)
+    report = estimate_performance(fast_params, fast_sol, y0, np.int64(50), seed=3)
+    assert type(report.n_paths) is int
+    assert report == estimate_performance(fast_params, fast_sol, y0, 50, seed=3)
 
 
 def test_replay_counts_in_the_frozen_model(frozen_sol):

@@ -193,7 +193,7 @@ def test_inactive_impulse_direction_shares_the_factorization(
     # impulse node.  The policy differs, its matrix does not.
     for edit in (("z", 3, -1), ("la", 4, 0), ("lb", 4, 0)):
         second = toy_policy(toy_grid, [edit])
-        assert first.switched_nodes(second) == 1
+        assert np.count_nonzero(first.code != second.code) == 1
         np.testing.assert_array_equal(policy_rows(toy_grid, first),
                                       policy_rows(toy_grid, second))
         (t1, t2), splittings = solve_twice(
@@ -202,6 +202,23 @@ def test_inactive_impulse_direction_shares_the_factorization(
         assert splittings == 1
         assert t1.routes == ["fresh"] and t2.routes == ["reused"]
         assert t2.reports[0] is t1.reports[0]
+
+
+def test_an_inactive_edit_repeats_the_policy(toy_grid, toy_params, toy_stencils,
+                                              monkeypatch):
+    # Improvement alternates between two codes that select the same rows:
+    # the policy repeats at the first improvement, so the call stops after
+    # one solve instead of sweeping until its budget runs out.
+    first = toy_policy(toy_grid)
+    second = toy_policy(toy_grid, [("z", 3, -1)])
+    policies = iter([first, second] * PiterConfig.max_iter)
+    monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: next(policies))
+    v_next = terminal_vector(toy_grid, toy_params)
+    _, pol, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next - 1e3,
+                            v_next)
+    assert trace.converged_by == "policy-repeat" and trace.switched == [0]
+    assert trace.iterations == 1 and trace.sweep_steps == 0
+    np.testing.assert_array_equal(pol.code, first.code)
 
 
 @pytest.mark.parametrize(

@@ -358,8 +358,9 @@ def problem_policies(draw, capped=True):
        hst.integers(0, 2**32 - 1))
 def test_a_policy_code_holds_the_four_fields(case, seed):
     """One byte per node reads back as the (la, lb, z, d) it packs, selects
-    the rows and counts the switches of the four-field rules, and packs only
-    0/1 quote and impulse bits, -1/+1 directions and fields of one shape."""
+    the rows of the four-field rules, differs from another code at the nodes
+    where one of the four fields differs, and packs only 0/1 quote and
+    impulse bits, -1/+1 directions and fields of one shape."""
     grid, _, _, pol, _ = case
     m = grid.n_nodes
     rng = np.random.default_rng(seed)
@@ -377,7 +378,7 @@ def test_a_policy_code_holds_the_four_fields(case, seed):
     changed = np.zeros(m, dtype=bool)
     for a, b in zip((pol.la, pol.lb, pol.z, pol.d), raw):
         changed |= a != b
-    assert pol.switched_nodes(other) == np.count_nonzero(changed)
+    assert np.count_nonzero(pol.code != other.code) == np.count_nonzero(changed)
     for i, name in enumerate(("la", "lb", "z", "d")):
         label = "-1/+1" if name == "z" else "0/1"
         bad = list(raw)

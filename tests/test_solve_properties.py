@@ -66,6 +66,22 @@ def pinned(spec, **fields):
 # v^{n+1} + (v^{n+1} - v^{n+2}) the iterate decreases by 1.1 at level 1 here.
 @example(pinned(GridSpec(3, 3, 17.0, 1), k=0.109375, gamma_a=17.0, gamma_b=17.0,
                 sigma=1.0, q_bar=1, alpha_cap=17.0, T=3.0))
+# A tie flips one node's code between two values that select the same rows
+# (z at a d = 0 node) at every improvement: a loop that compared codes took
+# single sweeps on an unchanged system until its 200-step budget ran out.
+@example((quiet_params(T=0.007262511282395189, sigma=0.59375, theta=0.1,
+                       delta=0.016240836962858878, eps=0.028023242255882878,
+                       lambda_a=8.350072773537175, lambda_b=8.350072773537175,
+                       k=8.215386449734194, rho=6.133875752959246,
+                       gamma_a=0.7770182894376504, gamma_b=0.7770182894376504,
+                       phi=0.010907513857400833, psi=0.0028238788693196524, q_bar=2,
+                       alpha_cap=0.623046875),
+          GridSpec(2, 19, 0.623046875, 2), True))
+@example((quiet_params(T=0.11434030866612248, sigma=0.07376478876180251, theta=0.1,
+                       delta=0.0078125, eps=0.03515625, lambda_a=6.5, lambda_b=6.5, k=0.5,
+                       rho=2.0, gamma_a=1.0755157470703125, gamma_b=1.0755157470703125,
+                       phi=0.015625, psi=0.0, q_bar=2, alpha_cap=0.744140625),
+          GridSpec(1, 21, 0.744140625, 2), True))
 def test_random_solves_keep_the_solver_invariants(case):
     p, spec, symmetric = case
     # raises on a hard verification failure, an iterate that decreases by

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -109,9 +110,17 @@ def test_reused_factorizations_reproduce_fresh_solves(params6, stops_checked):
 
 def test_policy_iteration_failures_name_the_level(fast_params, fast_spec, monkeypatch):
     monkeypatch.setattr(PiterConfig, "max_iter", 1)
-    with pytest.raises(PolicyIterationError, match=r"^time level 49: no convergence") as exc_info:
+    # the message says what the budget went to: the solves, the single
+    # sweeps, and the nodes the last improvement switched
+    pattern = (r"^time level 49: no convergence within 1 iterations \(1 solve, "
+               r"0 single sweeps; last metric (\S+); last improvement switched "
+               r"(\d+) nodes?\)$")
+    with pytest.raises(PolicyIterationError, match=pattern) as exc_info:
         solve_backward(fast_params, fast_spec)
-    assert exc_info.value.trace.iterations == 1
+    trace = exc_info.value.trace
+    assert trace.iterations == 1 and trace.sweep_steps == 0
+    metric, switched = re.match(pattern, str(exc_info.value)).groups()
+    assert metric == f"{trace.stop_metrics[-1]:.3e}" and int(switched) == trace.switched[-1] > 0
 
 
 def test_verification_failures_name_the_level(toy_params, monkeypatch):
