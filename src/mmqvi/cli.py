@@ -32,13 +32,7 @@ from .grid import Grid, GridSpec, build_grid
 from .linsolve import SolveError
 from .model import ModelParams
 from .montecarlo import estimate_performance
-from .policy_iteration import (
-    PHASES,
-    VERIFICATION_LEVELS,
-    PiterConfig,
-    PolicyIterationError,
-    VerificationError,
-)
+from .policy_iteration import PHASES, PolicyIterationError, VerificationError
 from .presets import default_grid_spec, default_params
 from .scheme import Policy
 from .solver import (
@@ -65,7 +59,6 @@ RUN_DEFAULTS = {
     "out_dir": ".",
     "seed": 7,
     "n_paths": 10_000,
-    "verify": PiterConfig.verification,
     "refine_rounds": 3,
     "mc_x0": 0.0,
     "mc_s0": 100.0,
@@ -74,7 +67,6 @@ RUN_DEFAULTS = {
 }
 RUN_KEYS = {key: type(default) for key, default in RUN_DEFAULTS.items()}
 CONFIG_KEYS = MODEL_KEYS | GRID_KEYS | RUN_KEYS
-RUN_CHOICES = {"mode": RUN_MODES, "verify": VERIFICATION_LEVELS}
 
 
 class ConfigError(ValueError):
@@ -85,7 +77,6 @@ class ConfigError(ValueError):
 class RunConfig:
     params: ModelParams
     spec: GridSpec
-    piter: PiterConfig
     mode: str
     out_dir: Path
     seed: int
@@ -164,9 +155,8 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
         return RUN_DEFAULTS[key]
 
     run = {key: setting(key) for key in RUN_DEFAULTS}
-    for key, allowed in RUN_CHOICES.items():
-        if run[key] not in allowed:
-            raise ConfigError(f"bad value for key {key}: {run[key]!r} (choose from {allowed})")
+    if run["mode"] not in RUN_MODES:
+        raise ConfigError(f"bad value for key mode: {run['mode']!r} (choose from {RUN_MODES})")
     if run["seed"] < 0:
         raise ConfigError(f"bad value for key seed: {run['seed']} (must be >= 0)")
     if run["n_paths"] < 1:
@@ -182,7 +172,6 @@ def build_run_config(raw: dict[str, str], overrides: dict) -> RunConfig:
     return RunConfig(
         params=params,
         spec=spec,
-        piter=PiterConfig(verification=run["verify"]),
         mode=run["mode"],
         out_dir=Path(run["out_dir"]),
         seed=run["seed"],
@@ -213,7 +202,7 @@ def write_policy_csv(path: Path, grid: Grid, policy: Policy) -> None:
 
 
 def _solve(cfg: RunConfig):
-    sol = solve_backward(cfg.params, cfg.spec, piter=cfg.piter)
+    sol = solve_backward(cfg.params, cfg.spec)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     value_path = cfg.out_dir / "value_t0.csv"
     policy_path = cfg.out_dir / "policy_t0.csv"
@@ -278,7 +267,7 @@ def _run_refine(cfg: RunConfig) -> int:
     probe_alphas, probe_qs = _default_probes(cfg)
     result = refinement_table(
         cfg.params, cfg.spec, probe_alphas, probe_qs,
-        rounds=cfg.refine_rounds, piter=cfg.piter,
+        rounds=cfg.refine_rounds,
     )
     header = ["round", "n_time_steps", "n_alpha_points"]
     header += [f"v(a={_fmt(a)},q={q})" for q in probe_qs for a in probe_alphas]
@@ -311,7 +300,7 @@ def _run_baseline(cfg: RunConfig) -> int:
         log.info("explicit scheme unstable as expected: %s", exc)
         return 0
     log.info("explicit scheme stable; comparing against the implicit solve")
-    implicit = solve_backward(cfg.params, cfg.spec, piter=cfg.piter)
+    implicit = solve_backward(cfg.params, cfg.spec)
     gap = float(
         np.max(np.abs(explicit.surfaces[0].values - implicit.surfaces[0].values))
     )
@@ -329,7 +318,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="out_dir", type=Path, help="output directory")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--paths", dest="n_paths", type=int, help="Monte Carlo path count")
-    parser.add_argument("--verify", choices=VERIFICATION_LEVELS)
     flags = vars(parser.parse_args(argv))
     config = flags.pop("config")
 

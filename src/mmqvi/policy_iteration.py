@@ -12,8 +12,9 @@ the sweeps of a regular splitting started from a subsolution stay
 subsolutions, and the argmax at a subsolution has a nonnegative residual:
 every evaluation starts from a subsolution of the improved policy's system.
 The iterates are then entrywise nondecreasing, and the iteration converges;
-at verification level ``per-step`` monotonicity is asserted at every step
-and complementarity at every stop on the relative change.
+every call asserts the matrix conditions of each system it solves,
+monotonicity at every step and complementarity at every stop on the
+relative change.
 
 Every row of A(P) is one of the grid's row types, which are split once per
 grid into band pieces and a table of N's rows, and checked once for
@@ -40,7 +41,7 @@ import numpy as np
 from . import linsolve, scheme
 from .grid import Grid, StencilSet
 from .model import ModelParams
-from .scheme import D, UP, Policy, SparseSystem
+from .scheme import D, ROW_BLOCK, UP, Policy, SparseSystem
 
 # Relative stopping metric falls back to absolute differences below this.
 RELATIVE_FLOOR = 1e-12
@@ -52,7 +53,6 @@ MARGIN_TOL = 1e-10
 # off-diagonal, impulse row that is not (diag 1, row sum 0).
 NONPOSITIVE_DIAG, POS_OFF, BAD_IMPULSE = 1, 2, 4
 
-VERIFICATION_LEVELS = ("off", "per-step")
 PHASES = ("improve", "load", "solve")
 
 
@@ -74,24 +74,16 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiterConfig:
-    """Verification level of one policy-iteration call: ``per-step`` raises
-    on a hard verification failure, a decreasing iterate or a metric stop
-    that misses complementarity; ``off`` on none of them.  The stopping rule
-    is fixed, so no input can loosen a stop or a check: ``tol`` bounds the
-    relative change of a metric stop, ``max_iter`` the solves and single
-    sweeps of one call, and ``solver_tol`` mirrors ``linsolve.CONTRACT_TOL``,
-    the unit of the monotonicity and complementarity checks."""
+    """The fixed numerical contract of policy iteration, as class constants
+    that no input can loosen: ``tol`` bounds the relative change of a metric
+    stop, ``max_iter`` the solves and single sweeps of one call, and
+    ``solver_tol`` mirrors ``linsolve.CONTRACT_TOL``, the unit of the
+    monotonicity and complementarity checks.  An instance has no fields and
+    sets nothing."""
 
-    verification: str = "per-step"
     tol: ClassVar[float] = 1e-8
     max_iter: ClassVar[int] = 200
     solver_tol: ClassVar[float] = linsolve.CONTRACT_TOL
-
-    def __post_init__(self) -> None:
-        if self.verification not in VERIFICATION_LEVELS:
-            raise ValueError(
-                f"verification must be one of {VERIFICATION_LEVELS}, got {self.verification!r}"
-            )
 
 
 @dataclass
@@ -154,9 +146,10 @@ class SystemCache:
     table of N's rows; ``facts`` are the ``_row_facts`` of the row types and
     ``step`` the ``scheme.StepTables`` of improvement and right side.  No
     other copy of the row types is kept.  The one entry is ``rows``, the
-    ``policy_rows`` selection that fixes A(P), with its verification
-    ``report`` and ``split``, the ``linsolve.Splitting`` of A(P), which
-    later loads rewrite in place.
+    ``policy_rows`` selection that fixes A(P), with the ``code`` of a policy
+    that selects it, its verification ``report`` and ``split``, the
+    ``linsolve.Splitting`` of A(P); later loads rewrite all but the report
+    in place.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, st: StencilSet):
@@ -165,40 +158,48 @@ class SystemCache:
         self.facts = _row_facts(_row_checks(self.band, self.n_types), impulse,
                                 np.tile(st.boundary, 6 * grid.n_q) & ~impulse)
         self.step = scheme.StepTables(grid, p, st)
-        self.rows = self.report = self.split = None
+        self.rows = self.code = self.report = self.split = None
 
     def load(self, policy: Policy) -> int:
         """Make the entry A(P)'s and return the number of its rows that
         changed: 0 when the entry already selects the rows of ``policy``,
-        every row on the first load.  After that only the changed rows are
-        written into the splitting, which is then factored anew; the impulse
-        chains are walked again only when a changed row is an impulse row
-        before or after.  Chains are closed only when the walk finds every
-        one ending in a continuation node."""
+        every row on the first load.  After that the ``scheme.ROW_BLOCK``
+        rows are compared only at the nodes whose code changed, and only
+        the changed rows are written into the splitting, which is then
+        factored anew; the impulse chains are walked again only when a
+        changed row is an impulse row before or after.  Chains are closed
+        only when the walk finds every one ending in a continuation node."""
         grid = self.step.grid
-        rows = scheme.policy_rows(grid, policy)
         if self.rows is None:
+            rows = self.rows = scheme.policy_rows(grid, policy)
+            self.code = policy.code.copy()
             failing_node, chains = _impulse_chains(grid, policy)
             self.split = linsolve.Splitting(np.take(self.band, rows, axis=1),
                                             linsolve.gather(self.n_types, rows, grid.n_nodes),
                                             chains)
             changed = rows.size
         else:
-            at = np.flatnonzero(rows != self.rows)
+            at = np.flatnonzero(policy.code != self.code)
             if at.size == 0:
                 return 0
-            new, split = rows[at], self.split
-            split.band[:, at] = self.band[:, new]
-            linsolve.regather(split.n_part, self.n_types, new, at)
-            impulse = 4 * grid.n_nodes
-            if (new >= impulse).any() or (self.rows[at] >= impulse).any():
+            old, new = ROW_BLOCK[self.code[at]], ROW_BLOCK[policy.code[at]]
+            self.code[at] = policy.code[at]
+            moved = new != old
+            if not moved.any():
+                return 0
+            at, old, new, split = at[moved], old[moved], new[moved], self.split
+            rows = new * grid.n_nodes + at
+            split.band[:, at] = self.band[:, rows]
+            linsolve.regather(split.n_part, self.n_types, rows, at)
+            # blocks 4 and 5 are the impulse rows
+            if (old >= 4).any() or (new >= 4).any():
                 failing_node, chains = _impulse_chains(grid, policy)
             else:
                 failing_node, chains = self.report.failing_node, split.chains
             split.refactor(chains)
+            self.rows[at] = rows
             changed = at.size
-        self.report = _report(self.facts, rows, failing_node)
-        self.rows = rows
+        self.report = _report(self.facts, self.rows, failing_node)
         return changed
 
     def rhs(self, v_next: np.ndarray) -> np.ndarray:
@@ -349,7 +350,6 @@ def iterate(
     cache: SystemCache,
     v0: np.ndarray,
     v_next: np.ndarray,
-    cfg: PiterConfig = PiterConfig(),
     policy: Policy | None = None,
 ) -> tuple[np.ndarray, Policy, PiterTrace]:
     """Run policy iteration from warm start ``v0`` for one time step of the
@@ -358,9 +358,9 @@ def iterate(
 
     Returns the converged value vector, the policy whose system it solves,
     and the iteration trace.  Raises PolicyIterationError when
-    ``cfg.max_iter`` solves and single sweeps have not converged, or (at
-    verification per-step) when an iterate decreases by more than 10x the
-    solver tolerance or a metric stop misses complementarity.
+    ``PiterConfig.max_iter`` solves and single sweeps have not converged,
+    when an iterate decreases by more than 10x ``PiterConfig.solver_tol``,
+    or when a metric stop misses complementarity.
 
     The first policy is solved to the residual contract.  After that, each
     improvement is loaded into ``cache``: one that changes a row of A(P) is
@@ -368,7 +368,7 @@ def iterate(
     that changes none by a full solve from the swept iterate, so a free
     boundary moves a cell per sweep rather than per solve.  Every stop
     follows a full solve: on an improvement that changes no row, or on a
-    relative change of that solve below ``cfg.tol``.  A call given a
+    relative change of that solve below ``PiterConfig.tol``.  A call given a
     ``policy`` stops only after at least one improvement.  From a
     subsolution of the first system every step stays monotone: a sweep
     keeps a subsolution one, and the improved policy's residual at it is
@@ -377,18 +377,16 @@ def iterate(
     A policy that selects the rows of the entry in ``cache`` reuses its
     report and splitting; any other gathers its changed rows from the
     cache's per-grid tables.  Every new system gathers its right side from
-    them, and every improvement reads the cache's ``scheme.StepTables``.  At
-    verification per-step, every new system raises VerificationError when
-    its report has a hard failure, as does a reused first one.  A solve
-    whose sweeps miss the residual contract within
-    ``linsolve.SWEEP_BUDGET`` falls back to sparse LU.  Pass one cache to
-    successive calls to carry the split row types and the splitting across
-    time steps.
+    them, and every improvement reads the cache's ``scheme.StepTables``.
+    Every new system raises VerificationError when its report has a hard
+    failure, as does a reused first one.  A solve whose sweeps miss the
+    residual contract within ``linsolve.SWEEP_BUDGET`` falls back to sparse
+    LU.  Pass one cache to successive calls to carry the split row types and
+    the splitting across time steps.
     """
     v = np.array(v0, dtype=float, copy=True)
     v_next = np.asarray(v_next, dtype=float)
     trace = PiterTrace()
-    verify = cfg.verification != "off"
 
     def timed(phase, fn, *args):
         started = time.perf_counter()
@@ -401,10 +399,10 @@ def iterate(
         policy = timed("improve", improve_policy, cache.step, v, v_next)
     changed, exact = timed("load", cache.load, policy), True
 
-    for _ in range(cfg.max_iter):
+    for _ in range(PiterConfig.max_iter):
         if changed or not trace.reports:
             # a system not yet checked in this call
-            if verify and not cache.report.sound:
+            if not cache.report.sound:
                 raise VerificationError("; ".join(cache.report.hard_failures), cache.report)
             trace.reports.append(cache.report)
             route, rhs = ("fresh" if changed else "reused"), cache.rhs(v_next)
@@ -423,19 +421,18 @@ def iterate(
         increment = float((v_new - v).min())
         trace.min_increments.append(increment)
 
-        if verify and increment < -10.0 * cfg.solver_tol:
+        if increment < -10.0 * PiterConfig.solver_tol:
             raise PolicyIterationError(
                 f"iterate decreased by {-increment:.3e} at node "
-                f"{int(np.argmin(v_new - v))} (> 10x solver tol {cfg.solver_tol:.1e})",
+                f"{int(np.argmin(v_new - v))} (> 10x solver tol {PiterConfig.solver_tol:.1e})",
                 trace,
             )
 
         v = v_new
         # a metric stop needs an improvement in this call
-        if exact and (improved or trace.switched) and metric < cfg.tol:
+        if exact and (improved or trace.switched) and metric < PiterConfig.tol:
             trace.converged_by = "metric"
-            if verify:
-                _check_complementarity(cache.step, v, v_next, cfg)
+            _check_complementarity(cache.step, v, v_next)
             return v, policy, trace
 
         candidate = timed("improve", improve_policy, cache.step, v, v_next)
@@ -447,7 +444,7 @@ def iterate(
         exact, policy = not changed, candidate
 
     raise PolicyIterationError(
-        f"no convergence within {cfg.max_iter} iterations "
+        f"no convergence within {PiterConfig.max_iter} iterations "
         f"({_count(trace.iterations, 'solve')}, {_count(trace.sweep_steps, 'single sweep')}; "
         f"last metric {trace.stop_metrics[-1]:.3e}; "
         f"last improvement switched {_count(changed, 'node')})",
@@ -459,11 +456,12 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}{'s' * (n != 1)}"
 
 
-def _check_complementarity(tables, v, v_next, cfg) -> None:
+def _check_complementarity(tables, v, v_next) -> None:
     """At termination the node-wise residual max must vanish to solve scale."""
     res, _ = scheme.residual(tables, v, v_next)
     scale = float(np.max(np.abs(v), initial=1.0))
-    bound = (10.0 * cfg.tol * max(1.0, scale) + 100.0 * cfg.solver_tol) / tables.grid.d_t
+    bound = (10.0 * PiterConfig.tol * max(1.0, scale)
+             + 100.0 * PiterConfig.solver_tol) / tables.grid.d_t
     worst = float(np.max(np.abs(res)))
     if worst > bound:
         raise PolicyIterationError(

@@ -133,7 +133,8 @@ def solve_backward(
     v^{n+1} raised by the least v^{n+1} - v^{n+2} over that policy's
     continuation rows, a subsolution of its system at level n.
 
-    A PolicyIterationError, VerificationError or SolveError raised while
+    Every level is checked as ``iterate`` checks a step, and a
+    PolicyIterationError, VerificationError or SolveError raised while
     solving a level is raised on, the same object with the time level put
     in front of its message.  ``metadata["per_level"]`` records each level's
     policy iteration, its ``sweeps`` counting those of the full solves and
@@ -141,8 +142,9 @@ def solve_backward(
     ``metadata["phase_s"]`` the seconds all levels spent in improvement, in
     ``SystemCache.load`` and in the sweeps and solves.
 
-    ``mode`` accepts only ``"clamp"``, as ``grid.build_stencils`` does; the
-    argument stays only because ``perfbench/workloads.py`` still passes it.
+    ``mode`` accepts only ``"clamp"``, as ``grid.build_stencils`` does, and
+    ``piter`` sets nothing, since ``PiterConfig`` has no fields; both
+    arguments stay only because ``perfbench/workloads.py`` still passes them.
     """
     started = time.perf_counter()
     grid = build_grid(p, spec)
@@ -173,7 +175,7 @@ def solve_backward(
             start = v + (rise if np.isfinite(rise) else 0.0)
         v_after = v
         try:
-            v, policy, trace = iterate(cache, start, v, piter, policy)
+            v, policy, trace = iterate(cache, start, v, policy)
         except (PolicyIterationError, VerificationError, SolveError) as exc:
             exc.args = (f"time level {n}: {exc}",)
             raise
@@ -321,14 +323,13 @@ def refinement_table(
     probe_alphas,
     probe_qs,
     rounds: int = 3,
-    piter: PiterConfig = PiterConfig(),
 ) -> RefinementResult:
     """Solve on ``rounds + 1`` nested grids and tabulate t = 0 probe values.
 
     ``rounds`` must be an integer >= 1.  Probe alphas must be nodes of the
     base grid (they then stay nodes on every refinement); probe inventories
     must be integers in [-q_bar, q_bar].  All are checked before any round
-    is solved.
+    is solved.  Each round is one ``solve_backward``, with all its checks.
     """
     if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
@@ -347,7 +348,7 @@ def refinement_table(
 
     values = np.empty((len(specs), len(probes)))
     for r, s in enumerate(specs):
-        sol = solve_backward(p, s, piter=piter)
+        sol = solve_backward(p, s)
         g = sol.grid
         v0 = sol.surfaces[0].values.reshape(g.n_q, g.n_alpha)
         for c, (a, q) in enumerate(probes):

@@ -26,7 +26,7 @@ else:
     import tomli as tomllib
 
 import mmqvi
-from mmqvi import GridSpec, PiterConfig, default_grid_spec, default_params
+from mmqvi import GridSpec, default_grid_spec, default_params
 from mmqvi.cli import (
     RUN_DEFAULTS,
     RUN_KEYS,
@@ -98,7 +98,6 @@ def test_empty_config_yields_the_reference_setup():
     cfg = build_run_config({}, {})
     assert cfg.params == default_params()
     assert cfg.spec == default_grid_spec()
-    assert cfg.piter == PiterConfig()
     assert cfg.mode == "solve"
     assert cfg.seed == 7
     assert cfg.n_paths == 10_000
@@ -363,23 +362,23 @@ def test_the_boundary_treatment_is_not_a_run_setting(tmp_path, caplog):
 
 
 def test_unknown_mode_flag_is_rejected_by_argparse():
-    # --verify offers off and per-step only
-    for argv in (["--mode", "simulate"], ["--verify", "exhaustive"]):
+    # every solve verifies, so there is no --verify flag to pass
+    for argv in (["--mode", "simulate"], ["--verify", "per-step"]):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
 
 
 @pytest.mark.parametrize("line", ["piter_tol = 1e300", "piter_max_iter = 1",
-                                  "verify = exhaustive"])
+                                  "verify = exhaustive", "verify = per-step",
+                                  "verify = off"])
 def test_the_numerical_contract_is_not_a_config_setting(tmp_path, caplog, line):
     # piter_tol = 1e300 once put the reference t = 0 surface 7.9e-8 off
     path = tmp_path / "loose.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
     with caplog.at_level(logging.ERROR):
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    key = line.split(" = ")[0]
-    message = "bad value for key verify" if key == "verify" else f"unknown key: {key}"
+    message = f"unknown key: {line.split(' = ')[0]}"
     assert any(message in rec.message for rec in caplog.records)
     assert not (tmp_path / "out").exists()
 

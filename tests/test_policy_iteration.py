@@ -49,13 +49,11 @@ def cycle_policy(grid):
 
 
 def test_piter_config_validation():
-    for bad in ("always", "exhaustive"):
-        with pytest.raises(ValueError, match="verification"):
-            PiterConfig(verification=bad)
     # the stopping rule and the contract are constants: a huge tol returns a
-    # loose surface without an error, and a nan one switches a check off
-    assert [f.name for f in dataclasses.fields(PiterConfig)] == ["verification"]
-    for name in ("tol", "max_iter", "solver_tol"):
+    # loose surface without an error, and a nan one switches a check off;
+    # and every call verifies, so no level of checking can be chosen either
+    assert dataclasses.fields(PiterConfig) == ()
+    for name in ("tol", "max_iter", "solver_tol", "verification"):
         with pytest.raises(TypeError, match=name):
             PiterConfig(**{name: float("nan")})
     assert PiterConfig.solver_tol == mmqvi.linsolve.CONTRACT_TOL
@@ -114,10 +112,6 @@ def test_a_metric_stop_checks_complementarity(toy_grid, toy_params, toy_stencils
     v_next = terminal_vector(toy_grid, toy_params)
     with pytest.raises(PolicyIterationError, match="complementarity residual"):
         iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next)
-    v, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next, v_next,
-                          PiterConfig(verification="off"))
-    assert trace.converged_by == "metric" and trace.iterations == 1
-    assert np.isfinite(v).all()
 
 
 def test_iterate_rejects_unsound_policies(
@@ -149,8 +143,7 @@ def toy_policy(grid, edits=()):
     return apply_caps(grid, fields["la"], fields["lb"], fields["z"], fields["d"])
 
 
-def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) * 2,
-                values=None):
+def solve_twice(grid, p, st, first, second, monkeypatch, values=None):
     """Solve one step under ``first``, then under ``second`` with the same
     cache; return both traces and the number of factorizations made, a new
     splitting's or one gathered anew in place.  The two solutions are
@@ -165,9 +158,9 @@ def solve_twice(grid, p, st, first, second, monkeypatch, cfgs=(PiterConfig(),) *
     v_next = terminal_vector(grid, p)
     v0 = v_next - 1e3  # far below the step's solution: every solve increases
     traces = []
-    for pol, cfg in zip((first, second), cfgs):
+    for pol in (first, second):
         monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
-        v, _, trace = iterate(cache, v0, v_next, cfg)
+        v, _, trace = iterate(cache, v0, v_next)
         assert trace.iterations == 1 and trace.converged_by == "policy-repeat"
         traces.append(trace)
         if values is not None:
@@ -247,13 +240,15 @@ def test_switched_counts_the_nodes_each_improvement_changes(
     toy_grid, toy_params, toy_stencils, monkeypatch
 ):
     first = toy_policy(toy_grid)
-    second = toy_policy(toy_grid, [("la", 3, 0), ("z", 4, -1)])
+    # at the first policy's solution, each edit is the better branch of its
+    # node: no bid at node 3, and an impulse up from node 5 into node 8.
+    # The sweep and the solve under the second policy then rise.
+    second = toy_policy(toy_grid, [("lb", 3, 0), ("d", 5, 1)])
     policies = iter((first, second, second, second))
     monkeypatch.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a: next(policies))
     v_next = terminal_vector(toy_grid, toy_params)
-    # the second policy need not improve on the first: no monotonicity check
     _, _, trace = iterate(SystemCache(toy_grid, toy_params, toy_stencils), v_next - 1e3,
-                          v_next, PiterConfig(verification="off"))
+                          v_next)
     # solve first; sweep once under second, which changed 2 nodes; solve
     # second when the next improvement repeats it, and stop when one
     # repeats it after that solve
@@ -285,19 +280,12 @@ def test_cache_entries_hold_only_for_their_problem_and_checks(
     toy_grid, toy_params, toy_stencils, monkeypatch
 ):
     pol = toy_policy(toy_grid)
-    # an entry solved at verification off is reused by a verifying solve,
-    # which checks its report
+    # a repeated policy reuses the entry, whose report the second call checks
     (t1, t2), splittings = solve_twice(
-        toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch,
-        cfgs=(PiterConfig(verification="off"), PiterConfig()),
+        toy_grid, toy_params, toy_stencils, pol, pol, monkeypatch
     )
-    assert splittings == 1 and t2.routes == ["reused"] and t2.reports[0] is t1.reports[0]
-    # (improve_policy still returns pol)
-    cache = SystemCache(toy_grid, toy_params, toy_stencils)
-    v_next = terminal_vector(toy_grid, toy_params)
-    for route in ("fresh", "reused"):
-        _, _, trace = iterate(cache, v_next - 1e3, v_next)
-        assert trace.routes == [route]
+    assert splittings == 1 and (t1.routes, t2.routes) == (["fresh"], ["reused"])
+    assert t2.reports[0] is t1.reports[0]
 
 
 def test_improve_policy_is_admissible(toy_grid, toy_params, toy_stencils):

@@ -17,7 +17,6 @@ from hypothesis import strategies as hst  # noqa: E402
 import mmqvi.policy_iteration  # noqa: E402
 from mmqvi import (  # noqa: E402
     GridSpec,
-    PiterConfig,
     Policy,
     assemble_system,
     build_grid,
@@ -317,16 +316,13 @@ def test_equal_row_selections_share_one_system(case):
 
     # solved after ``first`` on a shared cache, ``second`` reuses exactly
     # when its rows repeat and solves bit for bit as on a fresh cache
-    # improvement is pinned to one policy below, so a stop need not meet
-    # complementarity
-    cfg = PiterConfig(verification="off")
     shared = SystemCache(grid, p, st)
     solved = []
     with pytest.MonkeyPatch.context() as mp:
         for pol, cache in ((first, shared), (second, shared),
                            (second, SystemCache(grid, p, st))):
             mp.setattr(mmqvi.policy_iteration, "improve_policy", lambda *a, pol=pol: pol)
-            solved.append(iterate(cache, v_next - 1.0, v_next, cfg))
+            solved.append(iterate(cache, v_next - 1.0, v_next))
     _, (v_shared, _, trace), (v_fresh, _, _) = solved
     assert trace.routes == ["reused" if same else "fresh"]
     np.testing.assert_array_equal(v_shared, v_fresh)
@@ -471,6 +467,8 @@ def test_a_load_after_any_policies_equals_a_load_from_scratch(case):
             np.testing.assert_array_equal(a, b)
     assert cache.report == scratch.report
     np.testing.assert_array_equal(cache.rows, scratch.rows)
+    # the code the entry compares the next load with selects its rows
+    np.testing.assert_array_equal(scheme.policy_rows(grid, Policy(cache.code)), cache.rows)
     if want._lu is not None:
         x, b = np.random.default_rng(0).normal(size=(2, grid.n_nodes))
         np.testing.assert_array_equal(got.sweep(x, b), want.sweep(x, b))

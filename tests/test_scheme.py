@@ -262,11 +262,11 @@ def test_residual_at_node_matches_vector_residual(toy_grid, toy_params, toy_sten
 def test_residual_vanishes_at_policy_iteration_fixed_point(
     toy_grid, toy_params, toy_stencils
 ):
-    from mmqvi import PiterConfig, iterate
+    from mmqvi import iterate
 
     grid, p, st = toy_grid, toy_params, toy_stencils
     v_next = terminal_vector(grid, p)
-    v, pol, _ = iterate(SystemCache(grid, p, st), v_next, v_next, PiterConfig())
+    v, pol, _ = iterate(SystemCache(grid, p, st), v_next, v_next)
     res, _ = residual(StepTables(grid, p, st), v, v_next)
     assert np.abs(res).max() <= 1e-9
 

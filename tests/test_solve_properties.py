@@ -96,7 +96,7 @@ def test_random_solves_keep_the_solver_invariants(case):
     # problem: its scheme.residual is within _check_complementarity's bound
     tables = StepTables(sol.grid, p, build_stencils(sol.grid, p, "clamp"))
     for later, surface in zip(sol.surfaces[1:], sol.surfaces):
-        _check_complementarity(tables, surface.values, later.values, PiterConfig())
+        _check_complementarity(tables, surface.values, later.values)
 
     for surface in sol.surfaces:
         lo, hi = stability_bounds(p, surface.t)

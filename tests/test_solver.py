@@ -103,10 +103,6 @@ def test_reused_factorizations_reproduce_fresh_solves(params6, stops_checked):
         assert e["min_interior_margin"] >= 1.0 - 1e-10
         assert e["min_boundary_margin"] > 0.0
 
-    # verification off gathers the same reports and only skips raising
-    unverified = solve_backward(params6, spec, piter=PiterConfig(verification="off"))
-    assert unverified.metadata["per_level"] == levels
-
 
 def test_policy_iteration_failures_name_the_level(fast_params, fast_spec, monkeypatch):
     monkeypatch.setattr(PiterConfig, "max_iter", 1)
